@@ -22,7 +22,7 @@ from .errors import (
 )
 from .field import (
     MODULUS,
-    char_poly_eval,
+    char_poly_evals,
     ff_inv,
     find_roots,
     poly_deg,
@@ -72,19 +72,16 @@ def make_sketch(
     verification_points: int,
     p: int = MODULUS,
     start: int = 0,
-    count: int | None = None,
 ) -> CpiSketch:
     """Evaluate the characteristic polynomial at the shared sample points.
 
-    ``start``/``count`` select a window of point indices so a bound-doubling
+    Points with index below ``start`` are skipped, so a bound-doubling
     retry can request only the freshly appended points.
     """
     if mbar < 1:
         raise ValueError("difference bound must be at least 1")
-    if count is None:
-        count = mbar + verification_points - start
     elems = [x % p for x in elements]
-    evals = [char_poly_eval(elems, sample_point(start + i, p), p) for i in range(count)]
+    evals = char_poly_evals(elems, [sample_point(i, p) for i in range(start, mbar + verification_points)], p)
     return CpiSketch(mbar, verification_points, len(elems), evals)
 
 
@@ -156,14 +153,9 @@ def reconcile(mine: CpiSketch, theirs: CpiSketch, p: int = MODULUS):
     return only_mine, only_theirs
 
 
-def verify_membership(only_mine: set[int], only_theirs: set[int], my_elements) -> bool:
+def verify_membership(only_mine: set[int], only_theirs: set[int], my_elements: set[int]) -> bool:
     """Deterministic decode sanity check against the local set."""
-    mine = {x % MODULUS for x in my_elements} if not isinstance(my_elements, set) else my_elements
-    return only_mine <= mine and not (only_theirs & mine)
-
-
-def sketch_num_points(mbar: int, verification_points: int) -> int:
-    return mbar + verification_points
+    return only_mine <= my_elements and not (only_theirs & my_elements)
 
 
 def extend_sketch(base: CpiSketch, appended: CpiSketch, new_mbar: int) -> CpiSketch:

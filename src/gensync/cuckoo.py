@@ -100,9 +100,6 @@ class CuckooFilter:
         base = i2 * self.bucket_size
         return fp in self._slots[base : base + self.bucket_size]
 
-    def __contains__(self, key: int) -> bool:
-        return self.lookup(key)
-
     def to_bytes(self) -> bytes:
         out = bytearray(
             _HEADER.pack(self.log_buckets, self.bucket_size, self.fingerprint_bits, self.seed)

@@ -18,6 +18,10 @@ own evaluations locally and recovers both difference sides from the
 numerator and denominator roots, which keeps total traffic within twice
 the optimal eight bytes per difference. IBLT and cuckoo exchange their
 sketches in both directions.
+
+A session's computation seconds are its wall time minus the seconds the
+channel spent inside ``send_frame``/``recv_frame``, so sketch encoding
+and decoding count as computation and waiting for the peer does not.
 """
 
 from __future__ import annotations
@@ -51,21 +55,6 @@ R_CONFIRM = 6
 _U32 = struct.Struct(">I")
 
 
-class _Stopwatch:
-    """Accumulates wall-clock seconds across ``with`` blocks."""
-
-    def __init__(self):
-        self.seconds = 0.0
-
-    def __enter__(self):
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.seconds += time.perf_counter() - self._start
-        return False
-
-
 @dataclass
 class SessionOutcome:
     success: bool
@@ -73,15 +62,10 @@ class SessionOutcome:
     sent_missing: int
     compute_seconds: float
     failure_reason: str | None = None
-    retries_used: int = 0
 
     @property
     def differences_recovered(self) -> int:
         return self.sent_missing + len(self.to_add)
-
-
-def _fail(timer, reason) -> SessionOutcome:
-    return SessionOutcome(False, set(), 0, timer.seconds, failure_reason=reason)
 
 
 def handshake_payload(protocol: ProtocolId, params: ProtocolParams) -> bytes:
@@ -129,35 +113,43 @@ def _decode_lists(payload: bytes, count: int):
     return lists
 
 
-def _abort(ch, code: int, message: str):
+class _Abort(GenSyncError):
+    """Ends a session once either side has sent ABORT."""
+
+
+def _abort(ch, code: int, message: str, reason: str | None = None) -> _Abort:
+    """Send ABORT to the peer; returns the exception that ends this side."""
     try:
         ch.send_frame(Frame(ABORT, bytes([code]) + message.encode()))
-    except (TransportError, GenSyncError):
+    except GenSyncError:
         pass
+    return _Abort(reason or message)
 
 
-def _abort_reason(frame: Frame) -> str:
-    if not frame.payload:
-        return "peer aborted"
-    return f"peer aborted ({frame.payload[0]}): {frame.payload[1:].decode(errors='replace')}"
-
-
-def _expect(ch, kind: int) -> Frame:
+def _expect(ch, *kinds: int) -> Frame:
     frame = ch.recv_frame()
     if frame.kind == ABORT:
-        raise _PeerAbort(_abort_reason(frame))
-    if frame.kind != kind:
-        _abort(ch, R_PROTOCOL, f"expected frame kind {kind}, got {frame.kind}")
-        raise ProtocolError(f"expected frame kind {kind}, got {frame.kind}")
+        if not frame.payload:
+            raise _Abort("peer aborted")
+        text = frame.payload[1:].decode(errors="replace")
+        raise _Abort(f"peer aborted ({frame.payload[0]}): {text}")
+    if frame.kind not in kinds:
+        wanted = " or ".join(map(str, kinds))
+        raise ProtocolError(f"expected frame kind {wanted}, got {frame.kind}")
     return frame
 
 
-class _PeerAbort(GenSyncError):
-    pass
+def _check_hello(ch, protocol, params) -> None:
+    their_protocol, their_params, their_version = parse_handshake(_expect(ch, HANDSHAKE).payload)
+    if their_version != WIRE_VERSION:
+        message = f"wire version {their_version} != {WIRE_VERSION}"
+        raise _abort(ch, R_VERSION, message, "wire version mismatch")
+    if their_protocol is not protocol or their_params != params:
+        raise _abort(ch, R_HANDSHAKE, "protocol or parameters disagree", "handshake mismatch")
 
 
-def _build_local_sketch(protocol, params, elements, timer):
-    with timer:
+def _build_local_sketch(ch, protocol, params, elements):
+    try:
         if protocol is ProtocolId.CPI:
             return cpi_mod.make_sketch(elements, params.cpi_mbar, params.cpi_verification_points)
         if protocol is ProtocolId.IBLT:
@@ -170,192 +162,123 @@ def _build_local_sketch(protocol, params, elements, timer):
             params.cuckoo_fingerprint_bits,
             params.cuckoo_max_kicks,
         )
+    except FilterFullError as exc:
+        raise _abort(ch, R_FILTER_FULL, str(exc), f"filter full: {exc}") from None
+
+
+def _run(role, ch, protocol: ProtocolId, params: ProtocolParams, elements: set) -> SessionOutcome:
+    start, comm_start = time.perf_counter(), ch.comm_seconds
+    to_add, sent_missing, reason = set(), 0, None
+    try:
+        to_add, sent_missing = role(ch, protocol, params, elements)
+    except ProtocolError as exc:
+        _abort(ch, R_PROTOCOL, str(exc))
+        reason = str(exc)
+    except (_Abort, TransportError) as exc:
+        reason = str(exc)
+    compute = time.perf_counter() - start - (ch.comm_seconds - comm_start)
+    # a session spent wholly in the channel can round to a hair below zero
+    return SessionOutcome(reason is None, to_add, sent_missing, max(0.0, compute), reason)
+
+
+def run_client(ch, protocol: ProtocolId, params: ProtocolParams, elements: set) -> SessionOutcome:
+    return _run(_client, ch, protocol, params, elements)
+
+
+def run_server(ch, protocol: ProtocolId, params: ProtocolParams, elements: set) -> SessionOutcome:
+    return _run(_server, ch, protocol, params, elements)
 
 
 # ---------------------------------------------------------------------------
 # client
 
 
-def run_client(ch, protocol: ProtocolId, params: ProtocolParams, elements: set) -> SessionOutcome:
-    timer = _Stopwatch()
-    try:
+def _client(ch, protocol, params, elements):
+    """Returns (elements learned, count sent to the peer)."""
+    local = _build_local_sketch(ch, protocol, params, elements)
+    ch.send_frame(Frame(HANDSHAKE, handshake_payload(protocol, params)))
+    if protocol is not ProtocolId.CPI:
+        ch.send_frame(Frame(SKETCH, local.to_bytes()))
+    _check_hello(ch, protocol, params)
+    their_payload = _expect(ch, SKETCH).payload
+
+    if protocol is ProtocolId.CUCKOO:
+        mine_only = cuckoo_mod.local_only(elements, cuckoo_mod.CuckooFilter.from_bytes(their_payload))
+        ch.send_frame(Frame(DIFFS, _encode_lists(mine_only)))
+        (their_only,) = _decode_lists(_expect(ch, DIFFS).payload, 1)
+        return set(their_only), len(mine_only)
+
+    if protocol is ProtocolId.CPI:
+        only_mine, only_theirs = _decode_cpi(ch, params, elements, local, their_payload)
+    else:
         try:
-            local = _build_local_sketch(protocol, params, elements, timer)
-        except FilterFullError as exc:
-            return _fail(timer, f"filter full: {exc}")
-
-        ch.send_frame(Frame(HANDSHAKE, handshake_payload(protocol, params)))
-        if protocol is not ProtocolId.CPI:
-            ch.send_frame(Frame(SKETCH, local.to_bytes()))
-
-        their_hello = _expect(ch, HANDSHAKE)
-        their_protocol, their_params, their_version = parse_handshake(their_hello.payload)
-        if their_version != WIRE_VERSION:
-            _abort(ch, R_VERSION, f"wire version {their_version} != {WIRE_VERSION}")
-            return _fail(timer, "wire version mismatch")
-        if their_protocol is not protocol or their_params != params:
-            _abort(ch, R_HANDSHAKE, "protocol or parameters disagree")
-            return _fail(timer, "handshake mismatch")
-
-        their_sketch = _expect(ch, SKETCH)
-
-        if protocol is ProtocolId.CPI:
-            return _client_cpi(ch, params, elements, local, their_sketch.payload, timer)
-        if protocol is ProtocolId.IBLT:
-            return _client_iblt(ch, elements, local, their_sketch.payload, timer)
-        return _client_cuckoo(ch, elements, their_sketch.payload, timer)
-    except _PeerAbort as exc:
-        return _fail(timer, str(exc))
-    except (TransportError, ProtocolError) as exc:
-        return _fail(timer, str(exc))
-
-
-def _send_diffs_await_ack(ch, only_mine, only_theirs, timer) -> SessionOutcome:
+            only_mine, only_theirs = local.subtract(iblt_mod.Iblt.from_bytes(their_payload)).peel()
+        except PeelError as exc:
+            raise _abort(ch, R_DECODE, str(exc), f"peel failed: {exc}") from None
     ch.send_frame(Frame(DIFFS, _encode_lists(only_mine, only_theirs)))
     _expect(ch, ACK)
-    return SessionOutcome(True, set(only_theirs), len(only_mine), timer.seconds)
+    return set(only_theirs), len(only_mine)
 
 
-def _client_cpi(ch, params, elements, mine, their_payload, timer) -> SessionOutcome:
+def _decode_cpi(ch, params, elements, mine, their_payload):
+    """Decode, doubling the bound up to ``cpi_retry_limit`` times."""
     theirs = cpi_mod.CpiSketch.from_bytes(their_payload)
     mbar = params.cpi_mbar
     ver = params.cpi_verification_points
     retries = 0
     while True:
         try:
-            with timer:
-                only_mine, only_theirs = cpi_mod.reconcile(mine, theirs)
-                if not cpi_mod.verify_membership(only_mine, only_theirs, set(elements)):
-                    raise BoundExceededError("decode contradicts local membership")
-            break
+            only_mine, only_theirs = cpi_mod.reconcile(mine, theirs)
+            if cpi_mod.verify_membership(only_mine, only_theirs, elements):
+                return only_mine, only_theirs
+            raise BoundExceededError("decode contradicts local membership")
         except BoundExceededError as exc:
             if retries >= params.cpi_retry_limit:
-                _abort(ch, R_DECODE, str(exc))
-                return _fail(timer, f"difference bound exceeded: {exc}")
-            retries += 1
-            old_len = len(mine.evaluations)
-            new_mbar = mbar * 2
-            # request the freshly appended evaluation points
-            ch.send_frame(Frame(SKETCH, cpi_mod.CpiSketch(new_mbar, ver, len(elements), []).to_bytes()))
-            ext = _expect(ch, SKETCH)
-            appended_theirs = cpi_mod.CpiSketch.from_bytes(ext.payload)
-            with timer:
-                appended_mine = cpi_mod.make_sketch(elements, new_mbar, ver, start=old_len)
-                mine = cpi_mod.extend_sketch(mine, appended_mine, new_mbar)
-                theirs = cpi_mod.extend_sketch(theirs, appended_theirs, new_mbar)
-            mbar = new_mbar
-    outcome = _send_diffs_await_ack(ch, only_mine, only_theirs, timer)
-    outcome.retries_used = retries
-    return outcome
-
-
-def _client_iblt(ch, elements, mine, their_payload, timer) -> SessionOutcome:
-    theirs = iblt_mod.Iblt.from_bytes(their_payload)
-    try:
-        with timer:
-            only_mine, only_theirs = mine.subtract(theirs).peel()
-    except PeelError as exc:
-        _abort(ch, R_DECODE, str(exc))
-        return _fail(timer, f"peel failed: {exc}")
-    return _send_diffs_await_ack(ch, only_mine, only_theirs, timer)
-
-
-def _client_cuckoo(ch, elements, their_payload, timer) -> SessionOutcome:
-    their_filter = cuckoo_mod.CuckooFilter.from_bytes(their_payload)
-    with timer:
-        mine_only = cuckoo_mod.local_only(elements, their_filter)
-    ch.send_frame(Frame(DIFFS, _encode_lists(mine_only)))
-    reply = _expect(ch, DIFFS)
-    (their_only,) = _decode_lists(reply.payload, 1)
-    return SessionOutcome(True, set(their_only), len(mine_only), timer.seconds)
+                raise _abort(ch, R_DECODE, str(exc), f"difference bound exceeded: {exc}") from None
+        retries += 1
+        old_len = len(mine.evaluations)
+        mbar *= 2
+        # request the freshly appended evaluation points
+        ch.send_frame(Frame(SKETCH, cpi_mod.CpiSketch(mbar, ver, len(elements), []).to_bytes()))
+        appended_theirs = cpi_mod.CpiSketch.from_bytes(_expect(ch, SKETCH).payload)
+        appended_mine = cpi_mod.make_sketch(elements, mbar, ver, start=old_len)
+        mine = cpi_mod.extend_sketch(mine, appended_mine, mbar)
+        theirs = cpi_mod.extend_sketch(theirs, appended_theirs, mbar)
 
 
 # ---------------------------------------------------------------------------
 # server
 
 
-def run_server(ch, protocol: ProtocolId, params: ProtocolParams, elements: set) -> SessionOutcome:
-    timer = _Stopwatch()
-    try:
-        hello = _expect(ch, HANDSHAKE)
-        try:
-            their_protocol, their_params, their_version = parse_handshake(hello.payload)
-        except ProtocolError as exc:
-            _abort(ch, R_PROTOCOL, str(exc))
-            return _fail(timer, str(exc))
-        if their_version != WIRE_VERSION:
-            _abort(ch, R_VERSION, f"wire version {their_version} != {WIRE_VERSION}")
-            return _fail(timer, "wire version mismatch")
-        if their_protocol is not protocol or their_params != params:
-            _abort(ch, R_HANDSHAKE, "protocol or parameters disagree")
-            return _fail(timer, "handshake mismatch")
+def _server(ch, protocol, params, elements):
+    """Returns (elements learned, count sent to the peer)."""
+    _check_hello(ch, protocol, params)
+    if protocol is not ProtocolId.CPI:
+        client_payload = _expect(ch, SKETCH).payload
+    local = _build_local_sketch(ch, protocol, params, elements)
+    ch.send_frame(Frame(HANDSHAKE, handshake_payload(protocol, params)))
+    ch.send_frame(Frame(SKETCH, local.to_bytes()))
 
-        client_sketch = None
-        if protocol is not ProtocolId.CPI:
-            client_sketch = _expect(ch, SKETCH)
+    if protocol is ProtocolId.CUCKOO:
+        server_only = cuckoo_mod.local_only(elements, cuckoo_mod.CuckooFilter.from_bytes(client_payload))
+        (client_only,) = _decode_lists(_expect(ch, DIFFS).payload, 1)
+        ch.send_frame(Frame(DIFFS, _encode_lists(server_only)))
+        return set(client_only), len(server_only)
 
-        try:
-            local = _build_local_sketch(protocol, params, elements, timer)
-        except FilterFullError as exc:
-            _abort(ch, R_FILTER_FULL, str(exc))
-            return _fail(timer, f"filter full: {exc}")
-
-        ch.send_frame(Frame(HANDSHAKE, handshake_payload(protocol, params)))
-        ch.send_frame(Frame(SKETCH, local.to_bytes()))
-
-        if protocol is ProtocolId.CPI:
-            return _server_cpi(ch, params, elements, timer)
-        if protocol is ProtocolId.IBLT:
-            return _server_apply_diffs(ch, elements, timer)
-        return _server_cuckoo(ch, elements, client_sketch.payload, timer)
-    except _PeerAbort as exc:
-        return _fail(timer, str(exc))
-    except (TransportError, ProtocolError) as exc:
-        return _fail(timer, str(exc))
-
-
-def _server_apply_diffs(ch, elements, timer) -> SessionOutcome:
-    frame = _expect(ch, DIFFS)
-    missing_here, confirmed = _decode_lists(frame.payload, 2)
-    if any(v not in elements for v in confirmed):
-        _abort(ch, R_CONFIRM, "peer confirmed elements this side does not hold")
-        return _fail(timer, "confirmation list mismatch")
-    ch.send_frame(Frame(ACK))
-    return SessionOutcome(True, set(missing_here), len(confirmed), timer.seconds)
-
-
-def _server_cpi(ch, params, elements, timer) -> SessionOutcome:
+    # a CPI client may ask for more evaluation points before it sends DIFFS
+    kinds = (DIFFS, SKETCH) if protocol is ProtocolId.CPI else (DIFFS,)
     ver = params.cpi_verification_points
     sent_points = params.cpi_mbar + ver
-    while True:
-        frame = ch.recv_frame()
-        if frame.kind == ABORT:
-            return _fail(timer, _abort_reason(frame))
-        if frame.kind == SKETCH:
-            # bound-doubling retry: serve the appended evaluation points
-            request = cpi_mod.CpiSketch.from_bytes(frame.payload)
-            new_total = request.mbar + ver
-            with timer:
-                appended = cpi_mod.make_sketch(elements, request.mbar, ver, start=sent_points)
-            ch.send_frame(Frame(SKETCH, appended.to_bytes()))
-            sent_points = new_total
-            continue
-        if frame.kind == DIFFS:
-            missing_here, confirmed = _decode_lists(frame.payload, 2)
-            if any(v not in elements for v in confirmed):
-                _abort(ch, R_CONFIRM, "peer confirmed elements this side does not hold")
-                return _fail(timer, "confirmation list mismatch")
-            ch.send_frame(Frame(ACK))
-            return SessionOutcome(True, set(missing_here), len(confirmed), timer.seconds)
-        _abort(ch, R_PROTOCOL, f"unexpected frame kind {frame.kind}")
-        return _fail(timer, f"unexpected frame kind {frame.kind}")
-
-
-def _server_cuckoo(ch, elements, client_payload, timer) -> SessionOutcome:
-    client_filter = cuckoo_mod.CuckooFilter.from_bytes(client_payload)
-    with timer:
-        server_only = cuckoo_mod.local_only(elements, client_filter)
-    frame = _expect(ch, DIFFS)
-    (client_only,) = _decode_lists(frame.payload, 1)
-    ch.send_frame(Frame(DIFFS, _encode_lists(server_only)))
-    return SessionOutcome(True, set(client_only), len(server_only), timer.seconds)
+    frame = _expect(ch, *kinds)
+    while frame.kind == SKETCH:
+        request = cpi_mod.CpiSketch.from_bytes(frame.payload)
+        appended = cpi_mod.make_sketch(elements, request.mbar, ver, start=sent_points)
+        ch.send_frame(Frame(SKETCH, appended.to_bytes()))
+        sent_points = request.mbar + ver
+        frame = _expect(ch, *kinds)
+    missing_here, confirmed = _decode_lists(frame.payload, 2)
+    if any(v not in elements for v in confirmed):
+        message = "peer confirmed elements this side does not hold"
+        raise _abort(ch, R_CONFIRM, message, "confirmation list mismatch")
+    ch.send_frame(Frame(ACK))
+    return set(missing_here), len(confirmed)

@@ -78,7 +78,6 @@ class ChannelParams:
     packet_loss: float = 0.0
     cpu_server: float = 100.0
     cpu_client: float = 100.0
-    mtu: int = 1500  # reserved for packetization; the time model is byte-linear
 
     def __post_init__(self):
         if self.bandwidth_up_mbps <= 0 or self.bandwidth_down_mbps <= 0:
@@ -179,6 +178,7 @@ class MemoryEndpoint:
         self.params = params
         self.timeout = timeout
         self.ledger = ByteLedger()
+        self.comm_seconds = 0.0
         self._closed = False
 
     @property
@@ -192,17 +192,22 @@ class MemoryEndpoint:
     def send_frame(self, frame: Frame):
         if self._closed:
             raise TransportError("channel is closed")
+        start = time.perf_counter()
         self._pair.record_send(self.direction)
         self.ledger.sent += frame.wire_size
         self._outbox.put(frame)
+        self.comm_seconds += time.perf_counter() - start
 
     def recv_frame(self) -> Frame:
         if self._closed:
             raise TransportError("channel is closed")
+        start = time.perf_counter()
         try:
             item = self._inbox.get(timeout=self.timeout)
         except queue.Empty:
             raise TransportError("timed out waiting for the peer") from None
+        finally:
+            self.comm_seconds += time.perf_counter() - start
         if item is None:
             raise TransportError("peer closed the channel")
         self.ledger.received += item.wire_size
@@ -269,10 +274,12 @@ class TcpEndpoint:
 
     def recv_frame(self) -> Frame:
         start = time.perf_counter()
-        header = self._recv_exact(FRAME_OVERHEAD)
-        kind, length = decode_header(header)
-        payload = self._recv_exact(length) if length else b""
-        self.comm_seconds += time.perf_counter() - start
+        try:
+            header = self._recv_exact(FRAME_OVERHEAD)
+            kind, length = decode_header(header)
+            payload = self._recv_exact(length) if length else b""
+        finally:
+            self.comm_seconds += time.perf_counter() - start
         self.ledger.received += FRAME_OVERHEAD + length
         return Frame(kind, payload)
 

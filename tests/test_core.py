@@ -1,5 +1,6 @@
 import random
 import threading
+import time
 
 import pytest
 
@@ -14,6 +15,7 @@ from gensync import (
     SyncRole,
     memory_channel_pair,
 )
+from gensync.cuckoo import CuckooFilter
 from gensync.field import MODULUS
 
 
@@ -297,6 +299,22 @@ def test_param_mismatch_never_succeeds():
     assert not ok_c and not ok_s
 
 
+def test_client_filter_overflow_aborts_the_server_at_once():
+    client_end, server_end = memory_channel_pair(timeout=5)
+    params = ProtocolParams(cuckoo_bucket_size=1, cuckoo_max_kicks=1)
+    client, server = (
+        Builder().set("protocol", "CUCKOO").set("communicant", end).set("protocol-params", params).build()
+        for end in (client_end, server_end)
+    )
+    values = range(1, 1_001)
+    fill(client, values)
+    fill(server, values)
+    ok_c, ok_s = run_sync(client, server)
+    assert not ok_c and not ok_s
+    assert client.get_observation().failure_reason.startswith("filter full")
+    assert server.get_observation().failure_reason.startswith("peer aborted")
+
+
 # -- observations ----------------------------------------------------------
 
 
@@ -343,6 +361,35 @@ def test_observation_times_scale_with_cpu_fraction():
     obs = client.get_observation()
     assert obs.communication_time > 0.02  # two turns at 10 ms minimum
     assert obs.computation_time > 0.0
+
+
+def test_computation_time_counts_sketch_decoding(monkeypatch):
+    decode = CuckooFilter.from_bytes
+
+    def slow_decode(cls, data):
+        time.sleep(0.2)
+        return decode(data)
+
+    monkeypatch.setattr(CuckooFilter, "from_bytes", classmethod(slow_decode))
+    client, server = build_pair(ProtocolId.CUCKOO)
+    fill(client, range(1, 11))
+    fill(server, range(2, 12))
+    assert run_sync(client, server) == (True, True)
+    assert client.get_observation().computation_time >= 0.2
+
+
+def test_computation_time_leaves_out_waiting_for_the_peer():
+    client, server = build_pair(ProtocolId.IBLT)
+    fill(client, range(1, 11))
+    fill(server, range(2, 12))
+    t = threading.Thread(target=client.sync_begin)
+    t.start()
+    time.sleep(0.3)  # the client sends its sketch and waits for the late server
+    assert server.sync_begin()
+    t.join(timeout=10)
+    assert not t.is_alive()
+    assert client.get_observation().success
+    assert client.get_observation().computation_time < 0.3
 
 
 def test_roles_follow_endpoint_sides():

@@ -6,14 +6,17 @@ from gensync.errors import InterpolationError, NotSplittableError
 from gensync.field import (
     MODULUS,
     char_poly_eval,
+    char_poly_evals,
     ff_add,
     ff_inv,
     ff_mul,
     ff_sub,
     find_roots,
+    poly_divmod,
     poly_eval,
     poly_from_roots,
     poly_mul,
+    poly_powmod,
     rational_interpolate,
 )
 
@@ -173,3 +176,81 @@ def test_find_roots_inverts_expansion():
             roots.add(rng.randrange(P))
         poly = poly_from_roots(sorted(roots))
         assert find_roots(poly) == roots
+
+
+def test_powmod_agrees_with_pointwise_powers():
+    # modulo a split polynomial, the remainder takes base(r)^e at each root r
+    rng = random.Random(0x90DE)
+    for _ in range(50):
+        roots = rng.sample(range(P), rng.randint(1, 12))
+        mod = poly_from_roots(roots)
+        base = [rng.randrange(P) for _ in range(rng.randint(1, 20))]
+        e = rng.randrange(1 << 64)
+        h = poly_powmod(base, e, mod)
+        assert len(h) <= len(roots)
+        for r in roots:
+            assert poly_eval(h, r) == pow(poly_eval(base, r), e, P)
+
+
+# the packed arithmetic folds slots for 2^61 - 1 and takes a Barrett step
+# for other primes, up to the largest prime below 2^63
+PACKED_PRIMES = (P, 97, 1_000_003, 2**63 - 25)
+
+
+def test_char_poly_evals_agree_with_direct_products():
+    rng = random.Random(0xC4A2)
+    for p in PACKED_PRIMES:
+        for count in (8, 20, 62, 63, 108, 130):
+            if count >= p // 2:
+                continue
+            points = rng.sample(range(1, min(p, 1 << 62)), count)
+            elements = [rng.randrange(p) for _ in range(2 * count + rng.randrange(150))]
+            elements += points[:2]  # members are roots
+            got = char_poly_evals(elements, points, p)
+            assert got == [char_poly_eval(elements, z, p) for z in points]
+            assert got[0] == got[1] == 0
+
+
+def test_powmod_agrees_with_schoolbook_square_and_multiply():
+    rng = random.Random(0x5C400)
+    for p in PACKED_PRIMES:
+        for degree in (2, 3, 9, 40, 62, 63, 80):
+            mod = [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)]
+            base = [rng.randrange(p) for _ in range(rng.randint(1, degree + 3))]
+            e = rng.randrange(1 << 20)
+            want = poly_divmod(base, mod, p)[1]
+            acc = poly_divmod([1], mod, p)[1]
+            for bit in bin(e)[2:]:
+                acc = poly_divmod(poly_mul(acc, acc, p), mod, p)[1]
+                if bit == "1":
+                    acc = poly_divmod(poly_mul(acc, want, p), mod, p)[1]
+            assert poly_powmod(base, e, mod, p) == acc
+
+
+def test_interpolate_returns_the_fraction_in_lowest_terms():
+    # the degree bounds exceed the fraction's, so every fit is a multiple
+    rng = random.Random(0x1E55)
+    for p in (P, 97, 1_000_003):
+        roots = rng.sample(range(1, 40), 7)
+        num, den = poly_from_roots(roots[:3], p), poly_from_roots(roots[3:], p)
+        zs = rng.sample(range(40, 97), 11)
+        pts = [(z, poly_eval(num, z, p) * ff_inv(poly_eval(den, z, p), p) % p) for z in zs]
+        fn = rational_interpolate(pts, 5, 5, p)
+        assert (fn.numerator, fn.denominator) == (num, den)
+
+
+def test_interpolate_rejects_points_no_fraction_fits():
+    # nine points of a degree-4 ratio admit no fraction of degrees 2/2
+    p = 97
+    num, den = poly_from_roots([3, 4, 5, 6], p), poly_from_roots([7, 8, 9, 10], p)
+    pts = [(z, poly_eval(num, z, p) * ff_inv(poly_eval(den, z, p), p) % p) for z in range(40, 49)]
+    with pytest.raises(InterpolationError):
+        rational_interpolate(pts, 2, 2, p)
+
+
+def test_find_roots_with_two_classes_per_split():
+    # 6 does not divide p - 1 here, so each split is by quadratic character
+    rng = random.Random(0x2C1A)
+    for p in (101, 65537):
+        roots = set(rng.sample(range(p), 30))
+        assert find_roots(poly_from_roots(sorted(roots), p), p) == roots
