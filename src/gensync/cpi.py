@@ -19,6 +19,7 @@ from .errors import (
     IncompatibleSketchError,
     InterpolationError,
     NotSplittableError,
+    ProtocolError,
 )
 from .field import (
     MODULUS,
@@ -32,13 +33,13 @@ from .field import (
 _SKETCH_HEADER = struct.Struct(">QIHI")
 
 
-def sample_point(i: int, p: int = MODULUS) -> int:
+def sample_point(i: int) -> int:
     """Shared evaluation point convention: descending from the field top.
 
     Keeps sample points disjoint from typical small identifiers so they
     do not collide with set elements.
     """
-    return p - 1 - i
+    return MODULUS - 1 - i
 
 
 @dataclass
@@ -60,19 +61,21 @@ class CpiSketch:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> CpiSketch:
+        """Decode a peer's sketch; ProtocolError when it is malformed."""
+        if len(data) < _SKETCH_HEADER.size:
+            raise ProtocolError(f"CPI sketch of {len(data)} bytes is shorter than its header")
         set_size, mbar, ver, count = _SKETCH_HEADER.unpack_from(data, 0)
-        off = _SKETCH_HEADER.size
-        evals = [int.from_bytes(data[off + 8 * i : off + 8 * i + 8], "big") for i in range(count)]
+        if mbar < 1:
+            raise ProtocolError("CPI sketch header has a zero difference bound")
+        if len(data) != _SKETCH_HEADER.size + 8 * count:
+            raise ProtocolError(f"CPI sketch has {len(data)} bytes, its header announces {count} evaluations")
+        evals = list(struct.unpack_from(f">{count}Q", data, _SKETCH_HEADER.size))
+        if any(v >= MODULUS for v in evals):
+            raise ProtocolError("CPI sketch holds an evaluation outside the field")
         return cls(mbar, ver, set_size, evals)
 
 
-def make_sketch(
-    elements,
-    mbar: int,
-    verification_points: int,
-    p: int = MODULUS,
-    start: int = 0,
-) -> CpiSketch:
+def make_sketch(elements, mbar: int, verification_points: int, start: int = 0) -> CpiSketch:
     """Evaluate the characteristic polynomial at the shared sample points.
 
     Points with index below ``start`` are skipped, so a bound-doubling
@@ -80,9 +83,8 @@ def make_sketch(
     """
     if mbar < 1:
         raise ValueError("difference bound must be at least 1")
-    elems = [x % p for x in elements]
-    evals = char_poly_evals(elems, [sample_point(i, p) for i in range(start, mbar + verification_points)], p)
-    return CpiSketch(mbar, verification_points, len(elems), evals)
+    evals = char_poly_evals(elements, [sample_point(i) for i in range(start, mbar + verification_points)])
+    return CpiSketch(mbar, verification_points, len(elements), evals)
 
 
 def _degree_split(mbar: int, ver: int, delta: int):
@@ -97,7 +99,7 @@ def _degree_split(mbar: int, ver: int, delta: int):
     return (total + delta) // 2, (total - delta) // 2
 
 
-def reconcile(mine: CpiSketch, theirs: CpiSketch, p: int = MODULUS):
+def reconcile(mine: CpiSketch, theirs: CpiSketch):
     """Extract (only_mine, only_theirs) from two evaluation vectors.
 
     Fails with BoundExceededError when interpolation, the verification
@@ -122,26 +124,25 @@ def reconcile(mine: CpiSketch, theirs: CpiSketch, p: int = MODULUS):
         denom = theirs.evaluations[i]
         if denom == 0:
             raise BoundExceededError("sample point collides with a peer element")
-        ratios.append((sample_point(i, p), mine.evaluations[i] * ff_inv(denom, p) % p))
+        ratios.append((sample_point(i), mine.evaluations[i] * ff_inv(denom) % MODULUS))
 
     try:
-        fn = rational_interpolate(ratios, deg_num, deg_den, p)
+        fn = rational_interpolate(ratios, deg_num, deg_den)
     except InterpolationError as exc:
         raise BoundExceededError(f"interpolation failed: {exc}") from exc
 
     # cross-multiplied verification on the remaining points, no inversions
     for i in range(used, len(mine.evaluations)):
-        z = sample_point(i, p)
-        fn_num, fn_den = fn.eval_pair(z, p)
-        if mine.evaluations[i] * fn_den % p != theirs.evaluations[i] * fn_num % p:
+        fn_num, fn_den = fn.eval_pair(sample_point(i))
+        if mine.evaluations[i] * fn_den % MODULUS != theirs.evaluations[i] * fn_num % MODULUS:
             raise BoundExceededError("verification point mismatch")
 
     if poly_deg(fn.numerator) - poly_deg(fn.denominator) != delta:
         raise BoundExceededError("recovered degrees contradict the set sizes")
 
     try:
-        only_mine = find_roots(fn.numerator, p) if poly_deg(fn.numerator) > 0 else set()
-        only_theirs = find_roots(fn.denominator, p) if poly_deg(fn.denominator) > 0 else set()
+        only_mine = find_roots(fn.numerator) if poly_deg(fn.numerator) > 0 else set()
+        only_theirs = find_roots(fn.denominator) if poly_deg(fn.denominator) > 0 else set()
     except NotSplittableError as exc:
         raise BoundExceededError(f"difference polynomial does not split: {exc}") from exc
 

@@ -12,6 +12,7 @@ import math
 import random
 import struct
 
+from .errors import FilterFullError, ProtocolError
 from .hashing import MASK64, derive_seed, keyed_hash
 
 _HEADER = struct.Struct(">BBBQ")
@@ -121,7 +122,14 @@ class CuckooFilter:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> CuckooFilter:
+        """Decode a peer's filter; ProtocolError when it is malformed."""
+        if len(data) < _HEADER.size:
+            raise ProtocolError(f"cuckoo filter of {len(data)} bytes is shorter than its header")
         lb, bs, fbits, seed = _HEADER.unpack_from(data, 0)
+        if lb < 1 or bs < 1 or not 4 <= fbits <= 32:
+            raise ProtocolError(f"cuckoo header out of range: 2^{lb} buckets of {bs}, {fbits}-bit fingerprints")
+        if len(data) != _HEADER.size + -(-(bs << lb) * fbits // 8):
+            raise ProtocolError(f"cuckoo filter has {len(data)} bytes, its header announces {bs << lb} slots")
         cf = cls(lb, bs, fbits, seed)
         buf = 0
         nbits = 0
@@ -163,8 +171,6 @@ def build_filter(
     Raises FilterFullError if any insertion fails, which at the sizing
     target of 80% load indicates a pathological input.
     """
-    from .errors import FilterFullError
-
     elements = list(elements) if not hasattr(elements, "__len__") else elements
     cf = CuckooFilter(geometry_for(len(elements), bucket_size), bucket_size, fingerprint_bits, seed)
     for e in elements:

@@ -50,8 +50,12 @@ class PeelError(GenSyncError):
     """IBLT peeling stalled before the table emptied."""
 
 
-class IncompatibleSketchError(GenSyncError):
-    """Sketches disagree on dimensions or hash seed and cannot be combined."""
+class IncompatibleSketchError(ProtocolError):
+    """Sketches disagree on dimensions or hash seed and cannot be combined.
+
+    A peer's sketch that does not match the local one is malformed input,
+    so a session answers it like any other protocol error.
+    """
 
 
 class FilterFullError(GenSyncError):

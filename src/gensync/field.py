@@ -1,9 +1,9 @@
 """Prime-field arithmetic, polynomials, rational interpolation and root finding.
 
-Field elements are plain ints in ``[0, p)``. The library-wide modulus is the
-Mersenne prime ``2^61 - 1``, large enough to hold reduced 64-bit identifiers
-while keeping products inside native big-int fast paths. Every function
-accepts an explicit ``p`` so small prime fields can be used in tests.
+Everything works in the one field GF(p) with ``p`` the Mersenne prime
+``2^61 - 1``: large enough to hold reduced 64-bit identifiers, and
+``2^61 = 1 (mod p)`` lets packed products be reduced by folding. Field
+elements are plain ints in ``[0, p)``.
 
 Polynomials are coefficient lists, lowest degree first, with no trailing
 zeros; the zero polynomial is the empty list.
@@ -22,30 +22,19 @@ from .errors import InterpolationError, NotSplittableError
 MODULUS = (1 << 61) - 1  # 2305843009213693951, prime
 
 
-def ff_add(a: int, b: int, p: int = MODULUS) -> int:
-    return (a + b) % p
-
-
-def ff_sub(a: int, b: int, p: int = MODULUS) -> int:
-    return (a - b) % p
-
-
-def ff_mul(a: int, b: int, p: int = MODULUS) -> int:
-    return (a * b) % p
-
-
-def ff_inv(a: int, p: int = MODULUS) -> int:
-    if a % p == 0:
+def ff_inv(a: int) -> int:
+    if a % MODULUS == 0:
         raise ZeroDivisionError("inverse of 0 is undefined in GF(p)")
-    return pow(a, -1, p)
+    return pow(a, -1, MODULUS)
 
 
-def char_poly_eval(elements, z: int, p: int = MODULUS) -> int:
+def char_poly_eval(elements, z: int) -> int:
     """Evaluate the characteristic polynomial of a set at ``z``.
 
     Returns the product of ``(z - x)`` over all elements, 1 for the empty
     set. Elements are reduced mod ``p`` implicitly by the arithmetic.
     """
+    p = MODULUS
     acc = 1
     for x in elements:
         acc = acc * (z - x) % p
@@ -68,23 +57,26 @@ def poly_deg(coeffs: list[int]) -> int:
     return len(coeffs) - 1
 
 
-def poly_sub(a: list[int], b: list[int], p: int = MODULUS) -> list[int]:
+def poly_sub(a: list[int], b: list[int]) -> list[int]:
+    p = MODULUS
     out = list(a) + [0] * (len(b) - len(a))
     for i, c in enumerate(b):
         out[i] = (out[i] - c) % p
     return poly_trim(out)
 
 
-def poly_scale(a: list[int], s: int, p: int = MODULUS) -> list[int]:
+def poly_scale(a: list[int], s: int) -> list[int]:
+    p = MODULUS
     s %= p
     if s == 0:
         return []
     return poly_trim([c * s % p for c in a])
 
 
-def poly_mul(a: list[int], b: list[int], p: int = MODULUS) -> list[int]:
+def poly_mul(a: list[int], b: list[int]) -> list[int]:
     if not a or not b:
         return []
+    p = MODULUS
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai == 0:
@@ -94,14 +86,15 @@ def poly_mul(a: list[int], b: list[int], p: int = MODULUS) -> list[int]:
     return poly_trim(out)
 
 
-def poly_eval(coeffs: list[int], x: int, p: int = MODULUS) -> int:
+def poly_eval(coeffs: list[int], x: int) -> int:
+    p = MODULUS
     acc = 0
     for c in reversed(coeffs):
         acc = (acc * x + c) % p
     return acc
 
 
-def poly_divmod(a: list[int], b: list[int], p: int = MODULUS):
+def poly_divmod(a: list[int], b: list[int]):
     """Quotient and remainder of ``a / b``; ``b`` must be nonzero."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
@@ -109,7 +102,8 @@ def poly_divmod(a: list[int], b: list[int], p: int = MODULUS):
     db = len(b) - 1
     if len(rem) - 1 < db:
         return [], poly_trim(rem)
-    inv_lead = ff_inv(b[-1], p)
+    p = MODULUS
+    inv_lead = ff_inv(b[-1])
     quot = [0] * (len(rem) - db)
     for i in range(len(rem) - 1, db - 1, -1):
         c = rem[i]
@@ -122,23 +116,23 @@ def poly_divmod(a: list[int], b: list[int], p: int = MODULUS):
     return poly_trim(quot), poly_trim(rem)
 
 
-def poly_mod(a: list[int], b: list[int], p: int = MODULUS) -> list[int]:
-    return poly_divmod(a, b, p)[1]
+def poly_mod(a: list[int], b: list[int]) -> list[int]:
+    return poly_divmod(a, b)[1]
 
 
-def poly_monic(a: list[int], p: int = MODULUS) -> list[int]:
+def poly_monic(a: list[int]) -> list[int]:
     a = poly_trim(a)
     if not a or a[-1] == 1:
         return a
-    return poly_scale(a, ff_inv(a[-1], p), p)
+    return poly_scale(a, ff_inv(a[-1]))
 
 
-def poly_gcd(a: list[int], b: list[int], p: int = MODULUS) -> list[int]:
+def poly_gcd(a: list[int], b: list[int]) -> list[int]:
     """Monic greatest common divisor."""
     a, b = poly_trim(a), poly_trim(b)
     while b:
-        a, b = b, poly_mod(a, b, p)
-    return poly_monic(a, p)
+        a, b = b, poly_mod(a, b)
+    return poly_monic(a)
 
 
 # ---------------------------------------------------------------------------
@@ -148,21 +142,16 @@ def poly_gcd(a: list[int], b: list[int], p: int = MODULUS) -> list[int]:
 # number of 64-bit words per coefficient; one big-int product then yields
 # every coefficient of the polynomial product, provided a slot is wide
 # enough to hold a sum of that many coefficient products. Slots are
-# reduced mod p all at once by big-int operations (folding for 2^61 - 1, a
-# Barrett step for other primes), so no per-coefficient work runs in the
-# interpreter. Packing needs p < 2^64.
+# reduced mod p all at once by folding their bits above 61 onto their
+# low bits, so no per-coefficient work runs in the interpreter.
 
 
 class _Slots:
-    """Slot layout for residues mod ``p < 2^64`` and sums of products of them."""
+    """Slot layout for residues mod p and sums of products of them."""
 
-    def __init__(self, p: int, term_bits: int):
-        self.p = p
-        self.k = 2 * (p - 1).bit_length() + term_bits  # slot values stay below 2^k
-        self.mu = (1 << self.k) // p
-        # a Barrett product needs room above the value; folding does not
-        width = self.k if p == MODULUS else self.k + self.mu.bit_length()
-        self.words = (width + 63) // 64
+    def __init__(self, term_bits: int):
+        self.k = 2 * 61 + term_bits  # slot values stay below 2^k
+        self.words = (self.k + 63) // 64
         self.bits = 64 * self.words
         self._folds, bound = 0, self.k
         while bound > 62:
@@ -175,11 +164,7 @@ class _Slots:
         if layout is None:
             mask = (1 << self.bits * count) - 1
             ones = mask // ((1 << self.bits) - 1)
-            if self.p == MODULUS:
-                high = ones * ((1 << self.bits - 61) - 1)
-                layout = (mask, ones, ones * self.p, high)
-            else:
-                layout = (mask, ones, ones * ((1 << self.bits - self.k) - 1), None)
+            layout = (mask, ones, ones * MODULUS, ones * ((1 << self.bits - 61) - 1))
             self._layouts[count] = layout
         return layout
 
@@ -194,18 +179,12 @@ class _Slots:
     def reduce(self, value: int, count: int) -> int:
         """The lowest ``count`` slots of ``value``, each reduced mod ``p``."""
         mask, ones, low, high = self._layout(count)
-        p = self.p
         value &= mask
-        if high is not None:
-            # 2^61 = 1 (mod p): fold each slot's bits above 61 onto its low
-            # bits until it is below 2p, then subtract p where it is at least p
-            for _ in range(self._folds):
-                value = (value & low) + (value >> 61 & high)
-            return value - ((value + ones) >> 61 & ones) * p
-        # Barrett: the estimate falls short of the quotient by at most one
-        b = p.bit_length()
-        value -= ((value * self.mu >> self.k) & low) * p
-        return value - (((value + ones * ((1 << b) - p)) >> b) & ones) * p
+        # 2^61 = 1 (mod p): fold each slot's bits above 61 onto its low bits
+        # until it is below 2p, then subtract p where it is at least p
+        for _ in range(self._folds):
+            value = (value & low) + (value >> 61 & high)
+        return value - ((value + ones) >> 61 & ones) * MODULUS
 
     def unpack(self, value: int, count: int) -> list[int]:
         """Slots of a value whose lowest ``count`` slots hold residues."""
@@ -215,9 +194,9 @@ class _Slots:
         return words[:: self.words].tolist()
 
 
-def _slots(p: int, terms: int) -> _Slots:
-    """Slots that hold a sum of ``terms`` products of residues mod ``p``."""
-    return _slots_for_bits(p, terms.bit_length())
+def _slots(terms: int) -> _Slots:
+    """Slots that hold a sum of ``terms`` products of residues."""
+    return _slots_for_bits(terms.bit_length())
 
 
 _slots_for_bits = functools.lru_cache(maxsize=64)(_Slots)
@@ -248,7 +227,7 @@ class _PackedMod:
 
     def __init__(self, mod: list[int], slots: _Slots):
         # ``slots`` must hold sums of ``d + 1`` products
-        d, p = len(mod) - 1, slots.p
+        d, p = len(mod) - 1, MODULUS
         rev = mod[::-1]
         inv = [1]
         for k in range(1, d - 1):
@@ -273,7 +252,7 @@ class _PackedMod:
 _GROUP_POINTS = 62  # the most points whose products keep 2-word slots mod 2^61 - 1
 
 
-def char_poly_evals(elements, points, p: int = MODULUS) -> list[int]:
+def char_poly_evals(elements, points) -> list[int]:
     """``char_poly_eval`` at each of the distinct ``points``.
 
     For each group of points, the characteristic polynomial is reduced
@@ -283,12 +262,13 @@ def char_poly_evals(elements, points, p: int = MODULUS) -> list[int]:
     of at most 62 points keep the packed products narrow. Few points or
     few elements take the direct products.
     """
+    p = MODULUS
     elements, points = list(elements), [z % p for z in points]
     groups = -(-len(points) // _GROUP_POINTS)
     size = -(-len(points) // groups) if points else 0
     if size < 8 or len(elements) < 2 * len(points):
-        return [char_poly_eval(elements, z, p) for z in points]
-    slots = _slots(p, size + 1)
+        return [char_poly_eval(elements, z) for z in points]
+    slots = _slots(size + 1)
 
     def product_of_linears(roots):
         pairs = [(slots.pack([a * b % p, (-a - b) % p, 1]), 3) for a, b in zip(roots[::2], roots[1::2])]
@@ -306,25 +286,25 @@ def char_poly_evals(elements, points, p: int = MODULUS) -> list[int]:
     out = []
     for group, reducer, acc in zip(grouped, reducers, accs):
         remainder = poly_trim(slots.unpack(acc, reducer.d))
-        out.extend(poly_eval(remainder, z, p) for z in group)
+        out.extend(poly_eval(remainder, z) for z in group)
     return out
 
 
-def poly_powmod(base: list[int], exp: int, mod: list[int], p: int = MODULUS) -> list[int]:
+def poly_powmod(base: list[int], exp: int, mod: list[int]) -> list[int]:
     """Compute ``base^exp`` modulo the polynomial ``mod``.
 
     Left-to-right square-and-multiply on packed remainders.
     """
-    base = poly_trim([c % p for c in poly_mod(base, mod, p)])
-    result = poly_mod([1], mod, p)
-    mod = poly_monic([c % p for c in mod], p)
+    base = poly_trim([c % MODULUS for c in poly_mod(base, mod)])
+    result = poly_mod([1], mod)
+    mod = poly_monic([c % MODULUS for c in mod])
     if len(mod) < 3:
         for i in reversed(range(exp.bit_length())):
-            result = poly_mod(poly_mul(result, result, p), mod, p)
+            result = poly_mod(poly_mul(result, result), mod)
             if exp >> i & 1:
-                result = poly_mod(poly_mul(result, base, p), mod, p)
+                result = poly_mod(poly_mul(result, base), mod)
         return result
-    reducer = _PackedMod(mod, _slots(p, len(mod)))
+    reducer = _PackedMod(mod, _slots(len(mod)))
     slots = reducer.slots
     packed_base, packed = slots.pack(base), slots.pack(result)
     for i in reversed(range(exp.bit_length())):
@@ -334,8 +314,9 @@ def poly_powmod(base: list[int], exp: int, mod: list[int], p: int = MODULUS) -> 
     return poly_trim(slots.unpack(packed, reducer.d))
 
 
-def poly_from_roots(roots, p: int = MODULUS) -> list[int]:
+def poly_from_roots(roots) -> list[int]:
     """Expand the monic polynomial with the given roots."""
+    p = MODULUS
     coeffs = [1]
     for r in roots:
         r %= p
@@ -356,12 +337,12 @@ class RationalFn:
     numerator: list[int]
     denominator: list[int]
 
-    def eval_pair(self, z: int, p: int = MODULUS):
+    def eval_pair(self, z: int):
         """Evaluate numerator and denominator at ``z`` without dividing."""
-        return poly_eval(self.numerator, z, p), poly_eval(self.denominator, z, p)
+        return poly_eval(self.numerator, z), poly_eval(self.denominator, z)
 
 
-def rational_interpolate(points, deg_num: int, deg_den: int, p: int = MODULUS) -> RationalFn:
+def rational_interpolate(points, deg_num: int, deg_den: int) -> RationalFn:
     """Fit ``P/Q`` with ``deg P <= deg_num``, ``deg Q <= deg_den`` through points.
 
     ``points`` is a sequence of ``(z, value)`` pairs with distinct ``z``.
@@ -378,14 +359,15 @@ def rational_interpolate(points, deg_num: int, deg_den: int, p: int = MODULUS) -
         raise InterpolationError(
             f"need at least {need} points for degrees {deg_num}/{deg_den}, got {len(points)}"
         )
+    p = MODULUS
     zs = [z % p for z, _ in points]
     if len(set(zs)) != len(zs):
         raise InterpolationError("sample points must be distinct")
 
     # Lagrange: F is the sum over the points of value / M'(z) * M / (Z - z)
     m = len(zs)
-    big_m = poly_from_roots(zs, p)
-    slots = _slots(p, m + 1)
+    big_m = poly_from_roots(zs)
+    slots = _slots(m + 1)
     packed = 0
     for z, (_, v) in zip(zs, points):
         quotient = [0] * m  # M / (Z - z) by synthetic division, top down
@@ -399,59 +381,53 @@ def rational_interpolate(points, deg_num: int, deg_den: int, p: int = MODULUS) -
 
     r0, r1, t0, t1 = big_m, f, [], [1]
     while poly_deg(r1) > deg_num:
-        q, r = poly_divmod(r0, r1, p)
-        r0, r1, t0, t1 = r1, r, t1, poly_sub(t0, poly_mul(q, t1, p), p)
+        q, r = poly_divmod(r0, r1)
+        r0, r1, t0, t1 = r1, r, t1, poly_sub(t0, poly_mul(q, t1))
     num, den = r1, t1
     if poly_deg(den) > deg_den:
         raise InterpolationError("no fraction within the degree bounds fits the points")
-    g = poly_gcd(num, den, p) if num else []
+    g = poly_gcd(num, den) if num else []
     if g and poly_deg(g) > 0:
-        num = poly_divmod(num, g, p)[0]
-        den = poly_divmod(den, g, p)[0]
-    inv_lead = ff_inv(den[-1], p)
-    return RationalFn(poly_scale(num, inv_lead, p), poly_scale(den, inv_lead, p))
+        num = poly_divmod(num, g)[0]
+        den = poly_divmod(den, g)[0]
+    inv_lead = ff_inv(den[-1])
+    return RationalFn(poly_scale(num, inv_lead), poly_scale(den, inv_lead))
 
 
 # ---------------------------------------------------------------------------
 # root extraction
 
 
-def _quadratic_roots(f: list[int], p: int):
+def _quadratic_roots(f: list[int]):
     # Monic x^2 + bx + c with p = 3 (mod 4); the discriminant of a
     # split squarefree quadratic is a nonzero square.
+    p = MODULUS
     b, c = f[1], f[0]
     disc = (b * b - 4 * c) % p
     s = pow(disc, (p + 1) // 4, p)
     if s * s % p != disc:
         raise NotSplittableError("quadratic discriminant is a non-residue")
-    inv2 = ff_inv(2, p)
+    inv2 = ff_inv(2)
     return {(-b + s) * inv2 % p, (-b - s) * inv2 % p}
 
 
-def _unity_classes(p: int) -> list[int]:
-    """The q-th roots of unity, q = 6 when it divides ``p - 1``, else 2."""
-    if (p - 1) % 6:
-        return [1, p - 1]
-    for a in range(2, p):
-        w = pow(a, (p - 1) // 6, p)
-        if pow(w, 2, p) != 1 and pow(w, 3, p) != 1:
-            return [pow(w, j, p) for j in range(6)]
-    raise AssertionError("a prime field has a primitive root")
+# the sixth roots of unity: the powers of 7^((p-1)/6), whose order is 6
+_UNITS = [pow(7, (MODULUS - 1) // 6 * j, MODULUS) for j in range(6)]
 
 
-def find_roots(poly: list[int], p: int = MODULUS) -> set[int]:
+def find_roots(poly: list[int]) -> set[int]:
     """All roots of ``poly`` iff it splits into distinct linear factors.
 
     Probabilistic equal-degree splitting recurses to linear factors: for
-    a seeded random ``delta``, ``h = (x + delta)^((p-1)/q)`` takes a q-th
+    a seeded random ``delta``, ``h = (x + delta)^((p-1)/6)`` takes a sixth
     root of unity ``u`` at each root other than ``-delta``, so the gcds of
-    ``h - u`` with the factor split it into up to q pieces (q = 6 when it
-    divides ``p - 1``, else 2). Degree-2 pieces take the direct
-    square-root shortcut when ``p = 3 (mod 4)``. The result is verified by
-    re-expanding the product of ``(x - r)`` terms, which rejects any input
-    that does not split into distinct linear factors.
+    ``h - u`` with the factor split it into up to six pieces. Degree-2
+    pieces take the direct square-root shortcut. The result is verified
+    by re-expanding the product of ``(x - r)`` terms, which rejects any
+    input that does not split into distinct linear factors.
     """
-    f = poly_monic(poly_trim(list(poly)), p)
+    p = MODULUS
+    f = poly_monic(poly_trim(list(poly)))
     if not f:
         raise ValueError("zero polynomial has no defined root set")
     if poly_deg(f) == 0:
@@ -460,26 +436,25 @@ def find_roots(poly: list[int], p: int = MODULUS) -> set[int]:
     rng = random.Random(0x9C0FFEE ^ len(f))
     roots: set[int] = set()
     stack = [f]
-    units = _unity_classes(p)
-    exp = (p - 1) // len(units)
+    exp = (p - 1) // len(_UNITS)
     while stack:
         g = stack.pop()
         d = poly_deg(g)
         if d == 1:
             roots.add((-g[0]) % p)
             continue
-        if d == 2 and p % 4 == 3:
-            roots |= _quadratic_roots(g, p)
+        if d == 2:
+            roots |= _quadratic_roots(g)
             continue
         for _ in range(32):
-            h = poly_powmod([rng.randrange(p), 1], exp, g, p)
+            h = poly_powmod([rng.randrange(p), 1], exp, g)
             pieces, rest = [], g
             # the last class, and the root -delta, stay in the rest
-            for u in units[:-1]:
-                w = poly_gcd(poly_sub(poly_mod(h, rest, p), [u], p), rest, p)
+            for u in _UNITS[:-1]:
+                w = poly_gcd(poly_sub(poly_mod(h, rest), [u]), rest)
                 if poly_deg(w) > 0:
                     pieces.append(w)
-                    rest = poly_divmod(rest, w, p)[0]
+                    rest = poly_divmod(rest, w)[0]
                     if poly_deg(rest) == 0:
                         break
             if poly_deg(rest) > 0:
@@ -492,6 +467,6 @@ def find_roots(poly: list[int], p: int = MODULUS) -> set[int]:
             # fails each attempt with probability at most 1/2
             raise NotSplittableError("equal-degree splitting failed to converge")
 
-    if poly_from_roots(sorted(roots), p) != f:
+    if poly_from_roots(sorted(roots)) != f:
         raise NotSplittableError("extracted roots do not reproduce the polynomial")
     return roots

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import struct
 
-from .errors import IncompatibleSketchError, PeelError
+from .errors import IncompatibleSketchError, PeelError, ProtocolError
 from .hashing import MASK64, derive_seed, keyed_hash
 
 _CELL = struct.Struct(">iQQ")
@@ -135,7 +135,14 @@ class Iblt:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> Iblt:
+        """Decode a peer's table; ProtocolError when it is malformed."""
+        if len(data) < _HEADER.size:
+            raise ProtocolError(f"IBLT of {len(data)} bytes is shorter than its header")
         m, k, seed = _HEADER.unpack_from(data, 0)
+        if k < 2 or m < k or m % k:
+            raise ProtocolError(f"IBLT header announces {m} cells for {k} hashes")
+        if len(data) != _HEADER.size + m * _CELL.size:
+            raise ProtocolError(f"IBLT has {len(data)} bytes, its header announces {m} cells")
         table = cls(m, k, seed)
         off = _HEADER.size
         for i in range(m):

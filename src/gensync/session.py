@@ -265,16 +265,19 @@ def _server(ch, protocol, params, elements):
         ch.send_frame(Frame(DIFFS, _encode_lists(server_only)))
         return set(client_only), len(server_only)
 
-    # a CPI client may ask for more evaluation points before it sends DIFFS
+    # a CPI client may ask for more evaluation points before it sends DIFFS:
+    # each request doubles the bound, at most ``cpi_retry_limit`` times
     kinds = (DIFFS, SKETCH) if protocol is ProtocolId.CPI else (DIFFS,)
     ver = params.cpi_verification_points
-    sent_points = params.cpi_mbar + ver
+    bound, served = params.cpi_mbar, 0
     frame = _expect(ch, *kinds)
     while frame.kind == SKETCH:
         request = cpi_mod.CpiSketch.from_bytes(frame.payload)
-        appended = cpi_mod.make_sketch(elements, request.mbar, ver, start=sent_points)
+        if request.mbar != 2 * bound or served >= params.cpi_retry_limit:
+            raise ProtocolError(f"request for bound {request.mbar} after {served} retries at bound {bound}")
+        appended = cpi_mod.make_sketch(elements, request.mbar, ver, start=bound + ver)
         ch.send_frame(Frame(SKETCH, appended.to_bytes()))
-        sent_points = request.mbar + ver
+        bound, served = request.mbar, served + 1
         frame = _expect(ch, *kinds)
     missing_here, confirmed = _decode_lists(frame.payload, 2)
     if any(v not in elements for v in confirmed):

@@ -148,18 +148,24 @@ class ByteLedger:
 
 
 class _PairState:
-    """Shared turn counter: a turn starts at each client-side burst."""
+    """Shared turn counter: a turn starts at each client-side burst.
+
+    Only the client side resets it, when its sync begins, so a server
+    that starts after the client's first frames still counts that turn.
+    """
 
     def __init__(self):
         self.lock = threading.Lock()
         self.turns = 0
         self.last_direction = None
 
-    def record_send(self, direction: str):
+    def record_send(self, direction: str) -> int:
+        """Count a frame sent in ``direction``; returns the turn count."""
         with self.lock:
             if direction == UP and self.last_direction != UP:
                 self.turns += 1
             self.last_direction = direction
+            return self.turns
 
     def reset(self):
         with self.lock:
@@ -168,7 +174,12 @@ class _PairState:
 
 
 class MemoryEndpoint:
-    """One side of an in-process channel pair with per-direction FIFO."""
+    """One side of an in-process channel pair with per-direction FIFO.
+
+    Each frame travels with the pair's turn count at its sending, and an
+    endpoint reports the count of its last frame, sent or received: the
+    peer's next sync cannot change it.
+    """
 
     def __init__(self, outbox, inbox, direction, pair_state, params, timeout=60.0):
         self._outbox = outbox
@@ -179,23 +190,20 @@ class MemoryEndpoint:
         self.timeout = timeout
         self.ledger = ByteLedger()
         self.comm_seconds = 0.0
+        self.turns = 0
         self._closed = False
 
     @property
     def is_client(self) -> bool:
         return self.direction == UP
 
-    @property
-    def turns(self) -> int:
-        return self._pair.turns
-
     def send_frame(self, frame: Frame):
         if self._closed:
             raise TransportError("channel is closed")
         start = time.perf_counter()
-        self._pair.record_send(self.direction)
+        self.turns = self._pair.record_send(self.direction)
         self.ledger.sent += frame.wire_size
-        self._outbox.put(frame)
+        self._outbox.put((frame, self.turns))
         self.comm_seconds += time.perf_counter() - start
 
     def recv_frame(self) -> Frame:
@@ -210,8 +218,9 @@ class MemoryEndpoint:
             self.comm_seconds += time.perf_counter() - start
         if item is None:
             raise TransportError("peer closed the channel")
-        self.ledger.received += item.wire_size
-        return item
+        frame, self.turns = item
+        self.ledger.received += frame.wire_size
+        return frame
 
     def close(self):
         if not self._closed:
@@ -220,7 +229,9 @@ class MemoryEndpoint:
 
     def reset_for_sync(self):
         self.ledger.reset()
-        self._pair.reset()
+        self.turns = 0
+        if self.is_client:
+            self._pair.reset()
 
 
 def memory_channel_pair(params: ChannelParams | None = None, timeout: float = 60.0):

@@ -15,8 +15,12 @@ from gensync import (
     SyncRole,
     memory_channel_pair,
 )
-from gensync.cuckoo import CuckooFilter
+from gensync.cpi import CpiSketch, make_sketch
+from gensync.cuckoo import CuckooFilter, build_filter
 from gensync.field import MODULUS
+from gensync.iblt import build_table, cell_count
+from gensync.session import R_PROTOCOL, handshake_payload
+from gensync.transport import ABORT, HANDSHAKE, SKETCH, Frame
 
 
 def build_pair(protocol, params=None, channel_params=None, server_params=None):
@@ -315,6 +319,76 @@ def test_client_filter_overflow_aborts_the_server_at_once():
     assert server.get_observation().failure_reason.startswith("peer aborted")
 
 
+def start(gs):
+    """Run ``gs.sync_begin()`` on a thread; its result lands in the returned dict."""
+    result = {}
+    t = threading.Thread(target=lambda: result.setdefault("ok", gs.sync_begin()), daemon=True)
+    t.start()
+    return t, result
+
+
+def bad_sketches():
+    """Case name -> (protocol, payload) that a faulty server sends as its sketch to a client of range(1, 51)."""
+    params, elements = ProtocolParams(), range(1, 51)
+    k = params.iblt_num_hashes
+    m = cell_count(params.iblt_expected_diffs, params.iblt_hedge, k)
+    table = build_table(elements, m, k, params.rng_seed).to_bytes()
+    cpi = make_sketch(elements, params.cpi_mbar, params.cpi_verification_points)
+    sketch = cpi.to_bytes()
+    outside = CpiSketch(cpi.mbar, cpi.verification_points, cpi.set_size, [MODULUS] + cpi.evaluations[1:])
+    cuckoo = build_filter(elements, params.rng_seed, params.cuckoo_bucket_size, params.cuckoo_fingerprint_bits).to_bytes()
+    return {
+        "iblt-short": (ProtocolId.IBLT, table[:-5]),
+        "iblt-trailing": (ProtocolId.IBLT, table + b"\0"),
+        "iblt-other-size": (ProtocolId.IBLT, build_table(elements, m + k, k, params.rng_seed).to_bytes()),
+        "iblt-huge-header": (ProtocolId.IBLT, (2**32 - 1).to_bytes(4, "big") + table[4:]),
+        "cpi-short": (ProtocolId.CPI, sketch[:-20]),
+        "cpi-trailing": (ProtocolId.CPI, sketch + bytes(8)),
+        "cpi-other-size": (ProtocolId.CPI, make_sketch(elements, 2 * params.cpi_mbar, params.cpi_verification_points).to_bytes()),
+        "cpi-outside-field": (ProtocolId.CPI, outside.to_bytes()),
+        "cuckoo-short": (ProtocolId.CUCKOO, cuckoo[:-5]),
+        "cuckoo-trailing": (ProtocolId.CUCKOO, cuckoo + b"\0"),
+        "cuckoo-huge-header": (ProtocolId.CUCKOO, bytes([255]) + cuckoo[1:]),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(bad_sketches()))
+def test_client_aborts_at_once_on_a_malformed_sketch(case):
+    protocol, payload = bad_sketches()[case]
+    client_end, server_end = memory_channel_pair(timeout=5)
+    client = Builder().set("protocol", protocol).set("communicant", client_end).build()
+    fill(client, range(1, 51))
+    t, result = start(client)
+    server_end.recv_frame()  # handshake
+    if protocol is not ProtocolId.CPI:
+        server_end.recv_frame()  # the client's sketch
+    server_end.send_frame(Frame(HANDSHAKE, handshake_payload(protocol, ProtocolParams())))
+    server_end.send_frame(Frame(SKETCH, payload))
+    began = time.perf_counter()
+    reply = server_end.recv_frame()
+    assert time.perf_counter() - began < 1
+    assert (reply.kind, reply.payload[:1]) == (ABORT, bytes([R_PROTOCOL]))
+    t.join(timeout=5)
+    assert result == {"ok": False}
+
+
+def test_cpi_server_refuses_a_retry_it_did_not_offer():
+    params = ProtocolParams()  # cpi_retry_limit=0: no retry is legal
+    client_end, server_end = memory_channel_pair(timeout=5)
+    server = Builder().set("protocol", "CPI").set("communicant", server_end).build()
+    fill(server, range(1, 51))
+    t, result = start(server)
+    client_end.send_frame(Frame(HANDSHAKE, handshake_payload(ProtocolId.CPI, params)))
+    assert [client_end.recv_frame().kind for _ in range(2)] == [HANDSHAKE, SKETCH]
+    began = time.perf_counter()
+    client_end.send_frame(Frame(SKETCH, CpiSketch(2**20, params.cpi_verification_points, 50, []).to_bytes()))
+    reply = client_end.recv_frame()
+    t.join(timeout=1)
+    assert time.perf_counter() - began < 1
+    assert (reply.kind, reply.payload[:1]) == (ABORT, bytes([R_PROTOCOL]))
+    assert result == {"ok": False}
+
+
 # -- observations ----------------------------------------------------------
 
 
@@ -390,6 +464,19 @@ def test_computation_time_leaves_out_waiting_for_the_peer():
     assert not t.is_alive()
     assert client.get_observation().success
     assert client.get_observation().computation_time < 0.3
+
+
+def test_late_server_still_counts_two_turns():
+    client, server = build_pair(ProtocolId.IBLT, channel_params=ChannelParams(latency_ms=100))
+    fill(client, range(1, 11))
+    fill(server, range(2, 12))
+    t, result = start(client)
+    time.sleep(0.2)  # the client's first turn is sent before the server starts
+    assert server.sync_begin()
+    t.join(timeout=10)
+    assert result == {"ok": True}
+    for gs in (client, server):
+        assert gs.get_observation().communication_time >= 0.2  # two turns at 100 ms
 
 
 def test_roles_follow_endpoint_sides():

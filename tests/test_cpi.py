@@ -3,7 +3,7 @@ import random
 import pytest
 
 from gensync.cpi import CpiSketch, extend_sketch, make_sketch, reconcile, sample_point
-from gensync.errors import BoundExceededError, IncompatibleSketchError
+from gensync.errors import BoundExceededError, IncompatibleSketchError, ProtocolError
 from gensync.field import MODULUS, ff_inv
 
 P = MODULUS
@@ -135,3 +135,13 @@ def test_retry_extension_decodes_after_doubling():
     mine = make_sketch(a, new_mbar, ver)
     assert theirs.evaluations == make_sketch(b, new_mbar, ver).evaluations
     assert reconcile(mine, theirs) == sym_diff_oracle(a, b)
+
+
+def test_malformed_sketch_bytes_are_rejected():
+    data = make_sketch({3, 9, 2**59}, 5, 3).to_bytes()
+    with pytest.raises(ProtocolError):
+        CpiSketch.from_bytes(data[:-20])  # missing evaluations
+    with pytest.raises(ProtocolError):
+        CpiSketch.from_bytes(data + bytes(8))  # trailing bytes
+    with pytest.raises(ProtocolError):
+        CpiSketch.from_bytes(data[:-8] + P.to_bytes(8, "big"))  # outside the field
