@@ -13,7 +13,7 @@ import math
 import random
 import statistics
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .core import Builder
 from .errors import ConfigError, ParameterError
@@ -25,7 +25,24 @@ from .transport import ChannelParams, memory_channel_pair
 GOOD_NETWORK = ChannelParams(latency_ms=30, bandwidth_up_mbps=7, bandwidth_down_mbps=7)
 BAD_NETWORK = ChannelParams(latency_ms=50, bandwidth_up_mbps=1, bandwidth_down_mbps=1)
 
-_OVERRIDE_KEYS = {
+# Each script key, in to_script's order: the BenchConfig fields it sets, its
+# type, and the values it accepts as a test and in interval notation.
+_SCRIPT_KEYS = {
+    "protocol": (("protocol",), ProtocolId, None, "CPI, IBLT or CUCKOO"),
+    "latency": (("latency_ms",), float, lambda v: v >= 0, "[0, inf)"),
+    "bandwidth": (("bandwidth_up_mbps", "bandwidth_down_mbps"), float, lambda v: v > 0, "(0, inf)"),
+    "packet_loss": (("packet_loss",), float, lambda v: 0 <= v < 1, "[0, 1)"),
+    "cpu_server": (("cpu_server",), float, lambda v: 0 < v <= 100, "(0, 100]"),
+    "cpu_client": (("cpu_client",), float, lambda v: 0 < v <= 100, "(0, 100]"),
+    "repeat": (("repeat",), int, lambda v: v >= 1, "[1, inf)"),
+    "set_size": (("set_size",), int, lambda v: v >= 0, "[0, inf)"),
+    "diff_count": (("diff_count",), int, lambda v: v >= 0, "[0, inf)"),
+    "split": (("split",), float, lambda v: 0 <= v <= 1, "[0, 1]"),
+    "seed": (("rng_seed",), int, lambda v: 0 <= v <= MASK64, "[0, 2^64)"),
+}
+
+# Protocol-parameter override key, in scripts and sync flags -> (ProtocolParams field, type)
+OVERRIDE_KEYS = {
     "mbar": ("cpi_mbar", int),
     "verification_points": ("cpi_verification_points", int),
     "retries": ("cpi_retry_limit", int),
@@ -57,73 +74,63 @@ class BenchConfig:
     overrides: dict = field(default_factory=dict)
 
     def channel_params(self) -> ChannelParams:
-        return ChannelParams(
-            latency_ms=self.latency_ms,
-            bandwidth_up_mbps=self.bandwidth_up_mbps,
-            bandwidth_down_mbps=self.bandwidth_down_mbps,
-            packet_loss=self.packet_loss,
-            cpu_server=self.cpu_server,
-            cpu_client=self.cpu_client,
-        )
+        return ChannelParams(**{f.name: getattr(self, f.name) for f in fields(ChannelParams)})
 
     def protocol_params(self) -> ProtocolParams:
         """Provision bounds to the workload's difference count by default."""
-        fields = {
+        values = {
             "cpi_mbar": max(1, self.diff_count),
             "iblt_expected_diffs": max(1, self.diff_count),
         }
-        for key, (attr, cast) in _OVERRIDE_KEYS.items():
+        for key, (attr, cast) in OVERRIDE_KEYS.items():
             if key in self.overrides:
-                fields[attr] = cast(self.overrides[key])
-        return ProtocolParams(**fields).validate()
+                values[attr] = cast(self.overrides[key])
+        return ProtocolParams(**values).validate()
 
     def to_script(self) -> str:
-        lines = [
-            f"protocol={self.protocol}",
-            f"latency={self.latency_ms!r}",
-            f'bandwidth="{self.bandwidth_up_mbps!r}/{self.bandwidth_down_mbps!r}"',
-            f"packet_loss={self.packet_loss!r}",
-            f"cpu_server={self.cpu_server!r}",
-            f"cpu_client={self.cpu_client!r}",
-            f"repeat={self.repeat}",
-            f"set_size={self.set_size}",
-            f"diff_count={self.diff_count}",
-            f"split={self.split!r}",
-            f"seed={self.rng_seed}",
-        ]
+        lines = []
+        for key, (names, *_) in _SCRIPT_KEYS.items():
+            text = "/".join(str(getattr(self, name)) for name in names)
+            lines.append(f'{key}="{text}"' if len(names) > 1 else f"{key}={text}")
         for key in sorted(self.overrides):
             lines.append(f"{key}={self.overrides[key]!r}")
         return "\n".join(lines) + "\n"
 
 
-def _parse_number(raw, cast, key, line):
+def _parse_number(raw, cast, key):
     try:
         return cast(raw)
     except ValueError:
-        raise ConfigError(f"{key} expects a {cast.__name__}, got {raw!r}", line) from None
+        raise ConfigError(f"{key} expects a {cast.__name__}, got {raw!r}") from None
 
 
-def _parse_bandwidth(raw, line):
-    text = raw.strip()
-    if len(text) >= 2 and text[0] == text[-1] and text[0] in "\"'":
-        text = text[1:-1]
-    parts = text.split("/")
-    if len(parts) == 1:
-        up = down = _parse_number(parts[0], float, "bandwidth", line)
-    elif len(parts) == 2:
-        up = _parse_number(parts[0], float, "bandwidth", line)
-        down = _parse_number(parts[1], float, "bandwidth", line)
-    else:
-        raise ConfigError(f"bandwidth expects 'UP/DOWN' or a single value, got {raw!r}", line)
-    if up <= 0 or down <= 0:
-        raise ConfigError("bandwidth must be positive", line)
-    return up, down
+def _parse_value(key, raw) -> dict:
+    """The BenchConfig fields that one script key sets; raises ConfigError."""
+    names, cast, accepts, accepted = _SCRIPT_KEYS[key]
+    if key == "protocol":
+        return {"protocol": ProtocolId.parse(raw)}
+    parts = [raw]
+    if key == "bandwidth":  # "UP/DOWN" or one value for both, optionally quoted
+        text = raw.strip()
+        if len(text) >= 2 and text[0] == text[-1] and text[0] in "\"'":
+            text = text[1:-1]
+        parts = text.split("/")
+        if len(parts) > 2:
+            raise ConfigError(f"bandwidth expects 'UP/DOWN' or a single value, got {raw!r}")
+        if len(parts) == 1:
+            parts *= 2
+    values = {}
+    for name, part in zip(names, parts):
+        v = _parse_number(part, cast, key)
+        if not accepts(v):
+            raise ConfigError(f"{key} must lie in {accepted}, got {v}")
+        values[name] = v
+    return values
 
 
 def parse_config(text: str) -> BenchConfig:
     """Parse a configuration script; raises ConfigError with line numbers."""
-    values = {}
-    lines_seen = {}
+    entries = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -131,85 +138,46 @@ def parse_config(text: str) -> BenchConfig:
         if "=" not in line:
             raise ConfigError(f"expected key=value, got {raw_line.strip()!r}", lineno)
         key, raw = (part.strip() for part in line.split("=", 1))
-        if key in values:
-            raise ConfigError(f"duplicate key {key!r} (first on line {lines_seen[key]})", lineno)
-        values[key] = raw
-        lines_seen[key] = lineno
+        if key in entries:
+            raise ConfigError(f"duplicate key {key!r} (first on line {entries[key][0]})", lineno)
+        entries[key] = (lineno, raw)
 
     for key in _REQUIRED:
-        if key not in values:
+        if key not in entries:
             raise ConfigError(f"missing required key {key!r}")
 
     cfg_fields = {}
     overrides = {}
-    for key, raw in values.items():
-        line = lines_seen[key]
-        if key == "protocol":
-            try:
-                cfg_fields["protocol"] = ProtocolId.parse(raw)
-            except ConfigError as exc:
-                raise ConfigError(str(exc), line) from None
-        elif key == "latency":
-            v = _parse_number(raw, float, key, line)
-            if v < 0:
-                raise ConfigError("latency cannot be negative", line)
-            cfg_fields["latency_ms"] = v
-        elif key == "bandwidth":
-            up, down = _parse_bandwidth(raw, line)
-            cfg_fields["bandwidth_up_mbps"] = up
-            cfg_fields["bandwidth_down_mbps"] = down
-        elif key == "packet_loss":
-            v = _parse_number(raw, float, key, line)
-            if not 0.0 <= v < 1.0:
-                raise ConfigError(f"packet_loss must lie in [0, 1), got {v}", line)
-            cfg_fields["packet_loss"] = v
-        elif key in ("cpu_server", "cpu_client"):
-            v = _parse_number(raw, float, key, line)
-            if not 0.0 < v <= 100.0:
-                raise ConfigError(f"{key} must lie in (0, 100], got {v}", line)
-            cfg_fields[key] = v
-        elif key == "repeat":
-            v = _parse_number(raw, int, key, line)
-            if v < 1:
-                raise ConfigError("repeat must be at least 1", line)
-            cfg_fields["repeat"] = v
-        elif key == "set_size":
-            v = _parse_number(raw, int, key, line)
-            if v < 0:
-                raise ConfigError("set_size cannot be negative", line)
-            cfg_fields["set_size"] = v
-        elif key == "diff_count":
-            v = _parse_number(raw, int, key, line)
-            if v < 0:
-                raise ConfigError("diff_count cannot be negative", line)
-            cfg_fields["diff_count"] = v
-        elif key == "split":
-            v = _parse_number(raw, float, key, line)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"split must lie in [0, 1], got {v}", line)
-            cfg_fields["split"] = v
-        elif key == "seed":
-            v = _parse_number(raw, int, key, line)
-            if not 0 <= v <= MASK64:
-                raise ConfigError("seed must fit in 64 bits", line)
-            cfg_fields["rng_seed"] = v
-        elif key in _OVERRIDE_KEYS:
-            _, cast = _OVERRIDE_KEYS[key]
-            overrides[key] = _parse_number(raw, cast, key, line)
-        else:
-            raise ConfigError(f"unknown key {key!r}", line)
+    for key, (line, raw) in entries.items():
+        try:
+            if key in _SCRIPT_KEYS:
+                cfg_fields.update(_parse_value(key, raw))
+            elif key in OVERRIDE_KEYS:
+                overrides[key] = _parse_number(raw, OVERRIDE_KEYS[key][1], key)
+            else:
+                raise ConfigError(f"unknown key {key!r}")
+        except ConfigError as exc:
+            raise ConfigError(str(exc), line) from None
 
     cfg = BenchConfig(overrides=overrides, **cfg_fields)
-    if cfg.diff_count > 2 * cfg.set_size:
-        raise ConfigError(
-            f"diff_count {cfg.diff_count} exceeds 2 * set_size", lines_seen["diff_count"]
-        )
+    try:
+        _split_differences(cfg.set_size, cfg.diff_count, cfg.split)
+    except ParameterError as exc:
+        raise ConfigError(str(exc), entries["diff_count"][0]) from None
     cfg.protocol_params()  # surfaces bad overrides early
     return cfg
 
 
 # ---------------------------------------------------------------------------
 # workloads
+
+
+def _split_differences(set_size: int, diff_count: int, split: float):
+    """Server-only and client-only difference counts; ParameterError when one exceeds set_size."""
+    server_only_n = round(split * diff_count)
+    if max(server_only_n, diff_count - server_only_n) > set_size:
+        raise ParameterError(f"diff_count {diff_count} at split {split} does not fit set_size {set_size}")
+    return server_only_n, diff_count - server_only_n
 
 
 def generate_workload(set_size: int, diff_count: int, split: float = 0.5, seed: int = 0):
@@ -220,13 +188,8 @@ def generate_workload(set_size: int, diff_count: int, split: float = 0.5, seed: 
     when the split is even, and differs by the split imbalance otherwise.
     Elements are drawn without replacement from the 64-bit space.
     """
-    if diff_count > 2 * set_size:
-        raise ParameterError("diff_count cannot exceed 2 * set_size")
-    server_only_n = round(split * diff_count)
-    client_only_n = diff_count - server_only_n
+    server_only_n, client_only_n = _split_differences(set_size, diff_count, split)
     common_n = set_size - server_only_n
-    if common_n < 0 or set_size - client_only_n < 0:
-        raise ParameterError("split concentrates more differences than set_size allows")
 
     rng = random.Random(seed)
     drawn = []

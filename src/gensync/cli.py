@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .benchmark import emit_csv, parse_config, run_benchmark
+from .benchmark import OVERRIDE_KEYS, emit_csv, parse_config, run_benchmark
 from .core import Builder
 from .errors import ConfigError, GenSyncError, TransportError
 from .hashing import MASK64
@@ -107,17 +107,15 @@ def cmd_sync(args) -> int:
     try:
         host, port = _split_address(args.addr)
         elements = _read_elements(args.input)
-        overrides = {}
-        if args.mbar is not None:
-            overrides["cpi_mbar"] = args.mbar
-        if args.expected_diffs is not None:
-            overrides["iblt_expected_diffs"] = args.expected_diffs
-        if args.fingerprint_bits is not None:
-            overrides["cuckoo_fingerprint_bits"] = args.fingerprint_bits
+        overrides = {
+            attr: getattr(args, key)
+            for key, (attr, _) in OVERRIDE_KEYS.items()
+            if getattr(args, key, None) is not None
+        }
         seed = _env_seed()
         if seed is not None:
             overrides["rng_seed"] = seed
-        params = ProtocolParams().with_overrides(**overrides)
+        params = ProtocolParams(**overrides).validate()
         role = SyncRole.parse(args.role)
         gs = (
             Builder()

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass
 
 from .errors import ConfigError
 from .hashing import MASK64
@@ -51,6 +51,8 @@ class ProtocolParams:
     normally be provisioned to the expected difference count.
     """
 
+    # The field order is the wire order: to_bytes and from_bytes take the
+    # fields in declaration order, with the formats of _PARAMS_WIRE.
     cpi_mbar: int = 64
     cpi_verification_points: int = 8
     cpi_retry_limit: int = 0
@@ -85,22 +87,8 @@ class ProtocolParams:
             raise ConfigError("rng_seed must fit in 64 bits")
         return self
 
-    def with_overrides(self, **kwargs) -> ProtocolParams:
-        return replace(self, **kwargs).validate()
-
     def to_bytes(self) -> bytes:
-        return _PARAMS_WIRE.pack(
-            self.cpi_mbar,
-            self.cpi_verification_points,
-            self.cpi_retry_limit,
-            self.iblt_expected_diffs,
-            self.iblt_hedge,
-            self.iblt_num_hashes,
-            self.cuckoo_fingerprint_bits,
-            self.cuckoo_bucket_size,
-            self.cuckoo_max_kicks,
-            self.rng_seed,
-        )
+        return _PARAMS_WIRE.pack(*astuple(self))
 
     @classmethod
     def from_bytes(cls, data: bytes) -> ProtocolParams:

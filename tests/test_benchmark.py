@@ -212,3 +212,110 @@ def test_csv_round_trip_reproduces_means_exactly():
     assert statistics.fmean(comp) == stats.computation_time.mean
     assert statistics.fmean(total) == stats.total_time.mean
     assert statistics.fmean(nbytes) == stats.bytes_transmitted.mean
+
+
+# -- every script key --------------------------------------------------------
+
+REQUIRED = {"protocol": "IBLT", "set_size": "10", "diff_count": "0"}
+
+BAD_VALUES = [
+    ("protocol", "SPINNER"),
+    ("protocol", "7"),
+    ("latency", "-1"),
+    ("latency", "fast"),
+    ("bandwidth", "0/10"),
+    ("bandwidth", "10/-1"),
+    ("bandwidth", "ten"),
+    ("bandwidth", "1/2/3"),
+    ("packet_loss", "1.0"),
+    ("packet_loss", "lots"),
+    ("cpu_server", "0"),
+    ("cpu_server", "max"),
+    ("cpu_client", "100.5"),
+    ("cpu_client", "half"),
+    ("repeat", "0"),
+    ("repeat", "2.5"),
+    ("set_size", "-1"),
+    ("set_size", "1e3"),
+    ("diff_count", "-1"),
+    ("diff_count", "ten"),
+    ("split", "1.5"),
+    ("split", "even"),
+    ("seed", str(2**64)),
+    ("seed", "0x10"),
+]
+
+
+@pytest.mark.parametrize("key,value", BAD_VALUES)
+def test_bad_value_names_its_key_and_line(key, value):
+    others = [f"{k}={v}\n" for k, v in REQUIRED.items() if k != key]
+    text = "# a comment\n" + "".join(others) + f"{key}={value}\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert str(err.value).startswith(f"line {len(others) + 2}:")
+    assert key in str(err.value)
+
+
+EVERY_KEY = """\
+protocol=CUCKOO
+latency=12.5
+bandwidth="3/7.5"
+packet_loss=0.02
+cpu_server=80
+cpu_client=40
+repeat=3
+set_size=500
+diff_count=30
+split=0.25
+seed=99
+mbar=40
+verification_points=4
+retries=2
+expected_diffs=35
+hedge=3.0
+num_hashes=5
+fingerprint_bits=16
+bucket_size=2
+max_kicks=800
+"""
+
+
+def test_script_setting_every_key_round_trips():
+    cfg = parse_config(EVERY_KEY)
+    assert cfg == BenchConfig(
+        protocol=ProtocolId.CUCKOO,
+        set_size=500,
+        diff_count=30,
+        latency_ms=12.5,
+        bandwidth_up_mbps=3.0,
+        bandwidth_down_mbps=7.5,
+        packet_loss=0.02,
+        cpu_server=80.0,
+        cpu_client=40.0,
+        repeat=3,
+        split=0.25,
+        rng_seed=99,
+        overrides={
+            "mbar": 40,
+            "verification_points": 4,
+            "retries": 2,
+            "expected_diffs": 35,
+            "hedge": 3.0,
+            "num_hashes": 5,
+            "fingerprint_bits": 16,
+            "bucket_size": 2,
+            "max_kicks": 800,
+        },
+    )
+    script = cfg.to_script()
+    assert sorted(line.split("=")[0] for line in script.splitlines()) == sorted(
+        line.split("=")[0] for line in EVERY_KEY.splitlines()
+    )
+    assert parse_config(script) == cfg
+
+
+@pytest.mark.parametrize("key", ["latency", "bandwidth"])
+def test_nan_is_out_of_range(key):
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"protocol=CPI\nset_size=10\ndiff_count=0\n{key}=nan\n")
+    assert str(err.value).startswith("line 4:")

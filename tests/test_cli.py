@@ -81,6 +81,16 @@ def test_bench_config_typo_exits_one(tmp_path, capsys):
     assert "line 11" in err
 
 
+def test_bench_infeasible_split_exits_one(tmp_path, capsys):
+    # ten differences all on the server side cannot fit a set of five
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text("protocol=IBLT\nset_size=5\ndiff_count=10\nsplit=1.0\n")
+    assert main(["bench", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[config]:")
+    assert "line 3" in err
+
+
 def test_bench_partial_failures_exit_two_with_csv(tmp_path, capsys):
     cfg = tmp_path / "bench.cfg"
     out = tmp_path / "out.csv"

@@ -487,3 +487,32 @@ def test_roles_follow_endpoint_sides():
     assert s.role is SyncRole.SERVER
     with pytest.raises(ConfigError):
         Builder().set("protocol", "IBLT").set("communicant", client_end).set("role", "server").build()
+
+
+# -- the handshake record ----------------------------------------------------
+
+
+def test_default_params_record_is_pinned():
+    record = ProtocolParams().to_bytes()
+    assert record.hex() == "00000040000800000000404000000000000000040c0401f40000000000000000"
+    assert ProtocolParams.from_bytes(record) == ProtocolParams()
+
+
+def test_params_record_keeps_every_field_in_place():
+    # every field off its default and distinct from its neighbours, so a
+    # reordered dataclass field changes these bytes
+    params = ProtocolParams(
+        cpi_mbar=300,
+        cpi_verification_points=5,
+        cpi_retry_limit=3,
+        iblt_expected_diffs=77,
+        iblt_hedge=2.5,
+        iblt_num_hashes=6,
+        cuckoo_fingerprint_bits=16,
+        cuckoo_bucket_size=2,
+        cuckoo_max_kicks=1000,
+        rng_seed=0x0123456789ABCDEF,
+    )
+    record = params.to_bytes()
+    assert record.hex() == "0000012c0005030000004d400400000000000006100203e80123456789abcdef"
+    assert ProtocolParams.from_bytes(record) == params
