@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 from .hashing import MASK64
@@ -88,12 +88,11 @@ class ProtocolParams:
         return self
 
     def to_bytes(self) -> bytes:
-        return _PARAMS_WIRE.pack(*astuple(self))
+        return _PARAMS_WIRE.pack(*(getattr(self, f.name) for f in fields(self)))
 
     @classmethod
     def from_bytes(cls, data: bytes) -> ProtocolParams:
-        fields = _PARAMS_WIRE.unpack(data)
-        return cls(*fields)
+        return cls(*_PARAMS_WIRE.unpack(data))
 
     @classmethod
     def wire_size(cls) -> int:
