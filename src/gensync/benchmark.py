@@ -153,7 +153,9 @@ def parse_config(text: str) -> BenchConfig:
             if key in _SCRIPT_KEYS:
                 cfg_fields.update(_parse_value(key, raw))
             elif key in OVERRIDE_KEYS:
-                overrides[key] = _parse_number(raw, OVERRIDE_KEYS[key][1], key)
+                name, cast = OVERRIDE_KEYS[key]
+                overrides[key] = _parse_number(raw, cast, key)
+                ProtocolParams(**{name: overrides[key]}).validate()
             else:
                 raise ConfigError(f"unknown key {key!r}")
         except ConfigError as exc:
@@ -162,9 +164,9 @@ def parse_config(text: str) -> BenchConfig:
     cfg = BenchConfig(overrides=overrides, **cfg_fields)
     try:
         _split_differences(cfg.set_size, cfg.diff_count, cfg.split)
-    except ParameterError as exc:
+        cfg.protocol_params()  # the bounds provisioned from diff_count
+    except (ParameterError, ConfigError) as exc:
         raise ConfigError(str(exc), entries["diff_count"][0]) from None
-    cfg.protocol_params()  # surfaces bad overrides early
     return cfg
 
 

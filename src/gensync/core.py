@@ -5,10 +5,15 @@ sync protocols over its configured communicant, and records an
 Observation per sync attempt. Instances are single-owner: no concurrent
 calls on one instance, though distinct instances may sync concurrently on
 independent channels.
+
+A CPI or IBLT instance keeps the sketch of its last sync and a net log of
+the adds and removes since then, so each later sync updates that sketch
+at a cost that grows with the changes rather than with the set.
 """
 
 from __future__ import annotations
 
+from . import cpi, cuckoo, iblt
 from .errors import ConfigError, StateError
 from .field import MODULUS
 from .hashing import MASK64
@@ -114,30 +119,45 @@ class GenSync:
         self._listener = None
         self._elements: set[int] = set()
         self._observation: Observation | None = None
+        # CPI arithmetic lives in GF(2^61 - 1); larger identifiers are
+        # reduced at ingestion (collision odds are of order 2^-61)
+        self._modulus = MODULUS if protocol is ProtocolId.CPI else MASK64 + 1
+        # the sketch of the set at the last sync, and the adds and removes
+        # since; the log stays None until a first sync caches a sketch
+        self._sketch = None
+        self._added: set[int] | None = None
+        self._removed: set[int] | None = None
         if tcp_address is not None and role is SyncRole.SERVER:
             self._listener = TcpListener(*tcp_address)
 
     # -- data set -----------------------------------------------------------
 
-    def _ingest(self, value: int) -> int:
+    def add_element(self, value: int) -> bool:
         if not isinstance(value, int) or not 0 <= value <= MASK64:
             raise ValueError(f"elements are unsigned 64-bit integers, got {value!r}")
-        # CPI arithmetic lives in GF(2^61 - 1); larger identifiers are
-        # reduced at ingestion (collision odds are of order 2^-61)
-        return value % MODULUS if self.protocol is ProtocolId.CPI else value
-
-    def add_element(self, value: int) -> bool:
-        v = self._ingest(value)
+        v = value % self._modulus
         if v in self._elements:
             return False
         self._elements.add(v)
+        if self._added is not None:
+            if v in self._removed:
+                self._removed.remove(v)
+            else:
+                self._added.add(v)
         return True
 
     def remove_element(self, value: int) -> bool:
-        v = self._ingest(value)
+        if not isinstance(value, int) or not 0 <= value <= MASK64:
+            raise ValueError(f"elements are unsigned 64-bit integers, got {value!r}")
+        v = value % self._modulus
         if v not in self._elements:
             return False
-        self._elements.discard(v)
+        self._elements.remove(v)
+        if self._added is not None:
+            if v in self._added:
+                self._added.remove(v)
+            else:
+                self._removed.add(v)
         return True
 
     @property
@@ -158,16 +178,49 @@ class GenSync:
         endpoint, transient = self._open_channel()
         try:
             runner = run_client if self.role is SyncRole.CLIENT else run_server
-            outcome = runner(endpoint, self.protocol, self.params, self._elements)
+            outcome = runner(endpoint, self.protocol, self.params, self._elements, self._local_sketch)
         finally:
             if transient:
                 endpoint.close()
 
         if outcome.success:
-            self._elements.update(outcome.to_add)
+            learned = outcome.to_add - self._elements
+            self._elements |= learned
+            if self._added is not None:
+                self._added |= learned
 
         self._observation = self._make_observation(endpoint, outcome, size_before)
         return outcome.success
+
+    def _local_sketch(self):
+        """The sketch of the set that this peer sends; the session calls it.
+
+        A cuckoo filter is built from the whole set. A CPI or IBLT sketch
+        is updated from the cached one by the log; without a cached sketch,
+        with a log at least as long as the set, or when the update cannot
+        divide a removed element out, the update starts from the empty
+        set's sketch with every element added.
+        """
+        p = self.params
+        if self.protocol is ProtocolId.CUCKOO:
+            return cuckoo.build_filter(
+                self._elements, p.rng_seed, p.cuckoo_bucket_size, p.cuckoo_fingerprint_bits, p.cuckoo_max_kicks
+            )
+        if self.protocol is ProtocolId.CPI:
+            points = p.cpi_mbar + p.cpi_verification_points
+            empty = cpi.CpiSketch(p.cpi_mbar, p.cpi_verification_points, 0, [1] * points)
+            update = cpi.update_sketch
+        else:
+            cells = iblt.cell_count(p.iblt_expected_diffs, p.iblt_hedge, p.iblt_num_hashes)
+            empty = iblt.Iblt(cells, p.iblt_num_hashes, p.rng_seed)
+            update = iblt.update_table
+        sketch = None
+        if self._sketch is not None and len(self._added) + len(self._removed) < len(self._elements):
+            sketch = update(self._sketch, self._added, self._removed)
+        if sketch is None:
+            sketch = update(empty, self._elements, ())
+        self._sketch, self._added, self._removed = sketch, set(), set()
+        return sketch
 
     def _open_channel(self):
         if self._endpoint is not None:

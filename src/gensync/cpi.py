@@ -87,6 +87,24 @@ def make_sketch(elements, mbar: int, verification_points: int, start: int = 0) -
     return CpiSketch(mbar, verification_points, len(elements), evals)
 
 
+def update_sketch(sketch: CpiSketch, added, removed) -> CpiSketch | None:
+    """The sketch of a set after adding ``added`` and removing ``removed``.
+
+    Each evaluation is a product of ``(z - x)``, so it is multiplied by
+    the added elements' factors and divided by the removed ones'. Returns
+    None when a removed element is a sample point, whose zero factor
+    cannot be divided out.
+    """
+    mbar, ver = sketch.mbar, sketch.verification_points
+    plus = make_sketch(added, mbar, ver).evaluations
+    minus = make_sketch(removed, mbar, ver).evaluations
+    if 0 in minus:
+        return None
+    p = MODULUS
+    evals = [e * a % p * pow(r, -1, p) % p for e, a, r in zip(sketch.evaluations, plus, minus)]
+    return CpiSketch(mbar, ver, sketch.set_size + len(added) - len(removed), evals)
+
+
 def _degree_split(mbar: int, ver: int, delta: int):
     # largest even-offset total at or below the bound, leaving at least
     # the points beyond it for verification

@@ -170,3 +170,9 @@ def build_table(elements, num_cells: int, num_hashes: int, seed: int) -> Iblt:
     for e in elements:
         table.insert(e)
     return table
+
+
+def update_table(table: Iblt, added, removed) -> Iblt:
+    """The table of a set after adding ``added`` and removing ``removed``."""
+    m, k, seed = table.num_cells, table.num_hashes, table.seed
+    return table.subtract(build_table(removed, m, k, seed).subtract(build_table(added, m, k, seed)))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import math
 import struct
 from dataclasses import dataclass, fields
 
@@ -10,6 +11,22 @@ from .errors import ConfigError
 from .hashing import MASK64
 
 _PARAMS_WIRE = struct.Struct(">IHBIdBBBHQ")
+
+# Each field's accepted values, from ``low`` up to but not including
+# ``high``; an upper limit is at most what the field's format in
+# _PARAMS_WIRE can carry, and the hedge must be finite.
+_LIMITS = {
+    "cpi_mbar": (1, 1 << 32),
+    "cpi_verification_points": (0, 1 << 16),
+    "cpi_retry_limit": (0, 4),
+    "iblt_expected_diffs": (1, 1 << 32),
+    "iblt_hedge": (1.0, math.inf),
+    "iblt_num_hashes": (2, 1 << 8),
+    "cuckoo_fingerprint_bits": (4, 33),
+    "cuckoo_bucket_size": (1, 1 << 8),
+    "cuckoo_max_kicks": (1, 1 << 16),
+    "rng_seed": (0, MASK64 + 1),
+}
 
 
 class ProtocolId(enum.Enum):
@@ -65,26 +82,11 @@ class ProtocolParams:
     rng_seed: int = 0
 
     def validate(self) -> ProtocolParams:
-        if self.cpi_mbar < 1:
-            raise ConfigError("cpi_mbar must be positive")
-        if self.cpi_verification_points < 0:
-            raise ConfigError("cpi_verification_points cannot be negative")
-        if not 0 <= self.cpi_retry_limit <= 3:
-            raise ConfigError("cpi_retry_limit must lie in [0, 3]")
-        if self.iblt_expected_diffs < 1:
-            raise ConfigError("iblt_expected_diffs must be positive")
-        if self.iblt_hedge < 1.0:
-            raise ConfigError("iblt_hedge must be at least 1.0")
-        if self.iblt_num_hashes < 2:
-            raise ConfigError("iblt_num_hashes must be at least 2")
-        if not 4 <= self.cuckoo_fingerprint_bits <= 32:
-            raise ConfigError("cuckoo_fingerprint_bits must lie in [4, 32]")
-        if self.cuckoo_bucket_size < 1:
-            raise ConfigError("cuckoo_bucket_size must be positive")
-        if self.cuckoo_max_kicks < 1:
-            raise ConfigError("cuckoo_max_kicks must be positive")
-        if not 0 <= self.rng_seed <= MASK64:
-            raise ConfigError("rng_seed must fit in 64 bits")
+        for f in fields(self):
+            low, high = _LIMITS[f.name]
+            value = getattr(self, f.name)
+            if not low <= value < high:
+                raise ConfigError(f"{f.name} must lie in [{low}, {high}), got {value}")
         return self
 
     def to_bytes(self) -> bytes:

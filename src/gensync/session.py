@@ -19,6 +19,13 @@ numerator and denominator roots, which keeps total traffic within twice
 the optimal eight bytes per difference. IBLT and cuckoo exchange their
 sketches in both directions.
 
+The caller hands the session a function that returns the sketch of its
+set, and the session calls it where the sketch is first needed: the
+client first, the server once the client's sketch has arrived, so two
+peers in one process do not build at once and each build counts as its
+own peer's computation. The session never changes that sketch. A
+bound-doubling retry computes its extra CPI points from the set.
+
 A session's computation seconds are its wall time minus the seconds the
 channel spent inside ``send_frame``/``recv_frame``, so sketch encoding
 and decoding count as computation and waiting for the peer does not.
@@ -148,29 +155,19 @@ def _check_hello(ch, protocol, params) -> None:
         raise _abort(ch, R_HANDSHAKE, "protocol or parameters disagree", "handshake mismatch")
 
 
-def _build_local_sketch(ch, protocol, params, elements):
+def _local(ch, sketch):
+    """Call ``sketch``; a cuckoo filter that overflows aborts the sync."""
     try:
-        if protocol is ProtocolId.CPI:
-            return cpi_mod.make_sketch(elements, params.cpi_mbar, params.cpi_verification_points)
-        if protocol is ProtocolId.IBLT:
-            m = iblt_mod.cell_count(params.iblt_expected_diffs, params.iblt_hedge, params.iblt_num_hashes)
-            return iblt_mod.build_table(elements, m, params.iblt_num_hashes, params.rng_seed)
-        return cuckoo_mod.build_filter(
-            elements,
-            params.rng_seed,
-            params.cuckoo_bucket_size,
-            params.cuckoo_fingerprint_bits,
-            params.cuckoo_max_kicks,
-        )
+        return sketch()
     except FilterFullError as exc:
         raise _abort(ch, R_FILTER_FULL, str(exc), f"filter full: {exc}") from None
 
 
-def _run(role, ch, protocol: ProtocolId, params: ProtocolParams, elements: set) -> SessionOutcome:
+def _run(role, ch, protocol: ProtocolId, params: ProtocolParams, elements: set, sketch) -> SessionOutcome:
     start, comm_start = time.perf_counter(), ch.comm_seconds
     to_add, sent_missing, reason = set(), 0, None
     try:
-        to_add, sent_missing = role(ch, protocol, params, elements)
+        to_add, sent_missing = role(ch, protocol, params, elements, sketch)
     except ProtocolError as exc:
         _abort(ch, R_PROTOCOL, str(exc))
         reason = str(exc)
@@ -181,21 +178,23 @@ def _run(role, ch, protocol: ProtocolId, params: ProtocolParams, elements: set) 
     return SessionOutcome(reason is None, to_add, sent_missing, max(0.0, compute), reason)
 
 
-def run_client(ch, protocol: ProtocolId, params: ProtocolParams, elements: set) -> SessionOutcome:
-    return _run(_client, ch, protocol, params, elements)
+def run_client(ch, protocol: ProtocolId, params: ProtocolParams, elements: set, sketch) -> SessionOutcome:
+    """The client side of one sync; ``sketch()`` returns the sketch of ``elements``."""
+    return _run(_client, ch, protocol, params, elements, sketch)
 
 
-def run_server(ch, protocol: ProtocolId, params: ProtocolParams, elements: set) -> SessionOutcome:
-    return _run(_server, ch, protocol, params, elements)
+def run_server(ch, protocol: ProtocolId, params: ProtocolParams, elements: set, sketch) -> SessionOutcome:
+    """The server side of one sync; ``sketch()`` returns the sketch of ``elements``."""
+    return _run(_server, ch, protocol, params, elements, sketch)
 
 
 # ---------------------------------------------------------------------------
 # client
 
 
-def _client(ch, protocol, params, elements):
+def _client(ch, protocol, params, elements, sketch):
     """Returns (elements learned, count sent to the peer)."""
-    local = _build_local_sketch(ch, protocol, params, elements)
+    local = _local(ch, sketch)
     ch.send_frame(Frame(HANDSHAKE, handshake_payload(protocol, params)))
     if protocol is not ProtocolId.CPI:
         ch.send_frame(Frame(SKETCH, local.to_bytes()))
@@ -250,12 +249,12 @@ def _decode_cpi(ch, params, elements, mine, their_payload):
 # server
 
 
-def _server(ch, protocol, params, elements):
+def _server(ch, protocol, params, elements, sketch):
     """Returns (elements learned, count sent to the peer)."""
     _check_hello(ch, protocol, params)
     if protocol is not ProtocolId.CPI:
         client_payload = _expect(ch, SKETCH).payload
-    local = _build_local_sketch(ch, protocol, params, elements)
+    local = _local(ch, sketch)
     ch.send_frame(Frame(HANDSHAKE, handshake_payload(protocol, params)))
     ch.send_frame(Frame(SKETCH, local.to_bytes()))
 

@@ -319,3 +319,18 @@ def test_nan_is_out_of_range(key):
     with pytest.raises(ConfigError) as err:
         parse_config(f"protocol=CPI\nset_size=10\ndiff_count=0\n{key}=nan\n")
     assert str(err.value).startswith("line 4:")
+
+
+@pytest.mark.parametrize("key,value", [("mbar", "0"), ("num_hashes", "300"), ("hedge", "inf"), ("max_kicks", "65536")])
+def test_bad_override_is_reported_on_its_line(key, value):
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"protocol=CPI\nset_size=10\ndiff_count=0\n{key}={value}\nrepeat=2\n")
+    assert str(err.value).startswith("line 4:")
+
+
+def test_bound_provisioned_beyond_the_record_is_reported_on_diff_count():
+    # the default CPI bound follows diff_count, and the record carries 32 bits
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"protocol=CPI\nset_size={2**33}\ndiff_count={2**32}\n")
+    assert str(err.value).startswith("line 3:")
+

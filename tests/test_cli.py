@@ -91,6 +91,16 @@ def test_bench_infeasible_split_exits_one(tmp_path, capsys):
     assert "line 3" in err
 
 
+def test_bench_override_beyond_the_record_exits_one(tmp_path, capsys):
+    # 300 hashes do not fit the handshake record's one-byte field
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text(BASE_CONFIG + "num_hashes=300\n")
+    assert main(["bench", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[config]:")
+    assert "line 11" in err
+
+
 def test_bench_partial_failures_exit_two_with_csv(tmp_path, capsys):
     cfg = tmp_path / "bench.cfg"
     out = tmp_path / "out.csv"

@@ -3,6 +3,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gensync import (
     Builder,
@@ -15,11 +17,12 @@ from gensync import (
     SyncRole,
     memory_channel_pair,
 )
-from gensync.cpi import CpiSketch, make_sketch
+from gensync import cpi
+from gensync.cpi import CpiSketch, make_sketch, sample_point
 from gensync.cuckoo import CuckooFilter, build_filter
 from gensync.field import MODULUS
 from gensync.iblt import build_table, cell_count
-from gensync.session import R_PROTOCOL, handshake_payload
+from gensync.session import R_PROTOCOL, handshake_payload, run_client, run_server
 from gensync.transport import ABORT, HANDSHAKE, SKETCH, Frame
 
 
@@ -516,3 +519,172 @@ def test_params_record_keeps_every_field_in_place():
     record = params.to_bytes()
     assert record.hex() == "0000012c0005030000004d400400000000000006100203e80123456789abcdef"
     assert ProtocolParams.from_bytes(record) == params
+
+
+# the first value each field's format in the handshake record cannot carry
+RECORD_LIMITS = {
+    "cpi_mbar": 2**32,
+    "iblt_expected_diffs": 2**32,
+    "cpi_verification_points": 2**16,
+    "cuckoo_max_kicks": 2**16,
+    "iblt_num_hashes": 2**8,
+    "cuckoo_bucket_size": 2**8,
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_LIMITS))
+def test_params_the_record_cannot_carry_are_rejected(name):
+    limit = RECORD_LIMITS[name]
+    with pytest.raises(ConfigError):
+        ProtocolParams(**{name: limit}).validate()
+    params = ProtocolParams(**{name: limit - 1}).validate()
+    assert ProtocolParams.from_bytes(params.to_bytes()) == params
+
+
+@pytest.mark.parametrize("hedge", [float("inf"), float("nan")])
+def test_hedge_must_be_finite(hedge):
+    with pytest.raises(ConfigError):
+        ProtocolParams(iblt_hedge=hedge).validate()
+
+
+# -- the cached sketch ---------------------------------------------------------
+
+CACHE_PARAMS = ProtocolParams(cpi_mbar=48, iblt_expected_diffs=48, iblt_hedge=3.0, iblt_num_hashes=6)
+
+
+def sketch_of(protocol, p, elements):
+    """The CPI or IBLT sketch of ``elements``, built from scratch."""
+    if protocol is ProtocolId.CPI:
+        return make_sketch(elements, p.cpi_mbar, p.cpi_verification_points)
+    cells = cell_count(p.iblt_expected_diffs, p.iblt_hedge, p.iblt_num_hashes)
+    return build_table(elements, cells, p.iblt_num_hashes, p.rng_seed)
+
+
+def fresh_sketch(gs):
+    return sketch_of(gs.protocol, gs.params, gs.elements)
+
+
+def next_sketch(gs):
+    """The sketch ``gs`` would hand its next sync."""
+    return gs._local_sketch()
+
+
+CACHE_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(("add", "remove")), st.booleans(), st.integers(1, 40)),
+        st.just(("sync", None, None)),
+    ),
+    max_size=30,
+)
+
+
+@pytest.mark.parametrize("protocol", [ProtocolId.CPI, ProtocolId.IBLT])
+@settings(max_examples=25, deadline=None)
+@given(ops=CACHE_OPS)
+def test_cached_sketch_matches_a_fresh_build(protocol, ops):
+    client, server = build_pair(protocol, CACHE_PARAMS)
+    for op, on_client, x in ops:
+        gs = client if on_client else server
+        if op == "add":
+            gs.add_element(x)
+        elif op == "remove":
+            gs.remove_element(x)
+        else:
+            assert run_sync(client, server) == (True, True)
+            assert client.elements == server.elements
+    for gs in (client, server):
+        assert next_sketch(gs).to_bytes() == fresh_sketch(gs).to_bytes()
+
+
+def test_removing_a_sample_point_rebuilds_the_sketch(monkeypatch):
+    client, server = build_pair(ProtocolId.CPI, CACHE_PARAMS)
+    point = sample_point(3)
+    fill(client, range(1, 201))
+    fill(client, [point])
+    fill(server, range(1, 201))
+    assert run_sync(client, server) == (True, True)
+    assert point in client.elements
+
+    sizes = []
+    build = cpi.make_sketch
+
+    def counted(elements, *args, **kwargs):
+        sizes.append(len(elements))
+        return build(elements, *args, **kwargs)
+
+    monkeypatch.setattr(cpi, "make_sketch", counted)
+    client.add_element(7_000)
+    client.remove_element(point)
+    sketch = next_sketch(client)
+    # the update of one add and one remove fails on the zero factor, and
+    # the rebuild evaluates every element
+    assert sizes == [1, 1, len(client), 0]
+    assert sketch.to_bytes() == fresh_sketch(client).to_bytes()
+
+
+def tcp_pair(protocol, params):
+    server = (
+        Builder()
+        .set("protocol", protocol)
+        .set("communicant", "socket")
+        .set("role", "server")
+        .set("host", "127.0.0.1")
+        .set("port", 0)
+        .set("protocol-params", params)
+        .build()
+    )
+    client = (
+        Builder()
+        .set("protocol", protocol)
+        .set("communicant", "socket")
+        .set("role", "client")
+        .set("host", "127.0.0.1")
+        .set("port", server.bound_port)
+        .set("protocol-params", params)
+        .build()
+    )
+    return client, server
+
+
+def test_cpi_sync_after_one_beyond_its_bound_ends_in_the_union():
+    a, b = seeded_sets(71, 300, 20, 20)
+    only_a, only_b = sorted(a - b), sorted(b - a)
+    client, server = tcp_pair(ProtocolId.CPI, ProtocolParams(cpi_mbar=10, cpi_retry_limit=0))
+    try:
+        fill(client, a)
+        fill(server, b)
+        assert run_sync(client, server) == (False, False)  # 40 differences, bound 10
+        fill(client, only_b[:15])
+        for x in only_a[:15]:
+            client.remove_element(x)
+        assert run_sync(client, server) == (True, True)  # 10 differences
+        expected = frozenset(x % MODULUS for x in (a | b) - set(only_a[:15]))
+        assert client.elements == server.elements == expected
+        for gs in (client, server):
+            assert next_sketch(gs).to_bytes() == fresh_sketch(gs).to_bytes()
+    finally:
+        client.close()
+        server.close()
+
+
+@pytest.mark.parametrize("protocol", [ProtocolId.CPI, ProtocolId.IBLT])
+def test_session_leaves_the_handed_sketch_unchanged(protocol):
+    # at CPI two bound-doubling retries graft extra points onto the client's sketch
+    a, b = seeded_sets(72, 200, 6, 6)
+    params = ProtocolParams(cpi_mbar=4, cpi_retry_limit=2, iblt_expected_diffs=12)
+    sets = [{x % MODULUS for x in s} for s in (a, b)]
+    sketches = [sketch_of(protocol, params, s) for s in sets]
+    before = [sk.to_bytes() for sk in sketches]
+    client_end, server_end = memory_channel_pair(timeout=5)
+    outcomes = {}
+    t = threading.Thread(
+        target=lambda: outcomes.setdefault(
+            "server", run_server(server_end, protocol, params, sets[1], lambda: sketches[1])
+        )
+    )
+    t.start()
+    client = run_client(client_end, protocol, params, sets[0], lambda: sketches[0])
+    t.join(timeout=10)
+    assert not t.is_alive()
+    assert client.success and outcomes["server"].success
+    assert [sk.to_bytes() for sk in sketches] == before
