@@ -24,7 +24,7 @@ from .errors import (
 from .field import (
     MODULUS,
     char_poly_evals,
-    ff_inv,
+    ff_inv_all,
     find_roots,
     poly_deg,
     rational_interpolate,
@@ -137,12 +137,13 @@ def reconcile(mine: CpiSketch, theirs: CpiSketch):
     deg_num, deg_den = _degree_split(mbar, ver, delta)
     used = deg_num + deg_den + 1
 
-    ratios = []
-    for i in range(used):
-        denom = theirs.evaluations[i]
-        if denom == 0:
-            raise BoundExceededError("sample point collides with a peer element")
-        ratios.append((sample_point(i), mine.evaluations[i] * ff_inv(denom) % MODULUS))
+    denoms = theirs.evaluations[:used]
+    if 0 in denoms:
+        raise BoundExceededError("sample point collides with a peer element")
+    ratios = [
+        (sample_point(i), e * inv % MODULUS)
+        for i, (e, inv) in enumerate(zip(mine.evaluations, ff_inv_all(denoms)))
+    ]
 
     try:
         fn = rational_interpolate(ratios, deg_num, deg_den)

@@ -28,6 +28,25 @@ def ff_inv(a: int) -> int:
     return pow(a, -1, MODULUS)
 
 
+def ff_inv_all(values) -> list[int]:
+    """Inverses of nonzero residues, with one modular inversion.
+
+    Montgomery's trick: invert the product of all values, then peel the
+    inverses off it from the last value back to the first.
+    """
+    p = MODULUS
+    prefix, acc = [], 1
+    for v in values:
+        prefix.append(acc)
+        acc = acc * v % p
+    inv = ff_inv(acc)
+    out = [0] * len(prefix)
+    for i in range(len(prefix) - 1, -1, -1):
+        out[i] = inv * prefix[i] % p
+        inv = inv * values[i] % p
+    return out
+
+
 def char_poly_eval(elements, z: int) -> int:
     """Evaluate the characteristic polynomial of a set at ``z``.
 
@@ -57,33 +76,12 @@ def poly_deg(coeffs: list[int]) -> int:
     return len(coeffs) - 1
 
 
-def poly_sub(a: list[int], b: list[int]) -> list[int]:
-    p = MODULUS
-    out = list(a) + [0] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % p
-    return poly_trim(out)
-
-
 def poly_scale(a: list[int], s: int) -> list[int]:
     p = MODULUS
     s %= p
     if s == 0:
         return []
     return poly_trim([c * s % p for c in a])
-
-
-def poly_mul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    p = MODULUS
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = (out[i + j] + ai * bj) % p
-    return poly_trim(out)
 
 
 def poly_eval(coeffs: list[int], x: int) -> int:
@@ -94,32 +92,6 @@ def poly_eval(coeffs: list[int], x: int) -> int:
     return acc
 
 
-def poly_divmod(a: list[int], b: list[int]):
-    """Quotient and remainder of ``a / b``; ``b`` must be nonzero."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    db = len(b) - 1
-    if len(rem) - 1 < db:
-        return [], poly_trim(rem)
-    p = MODULUS
-    inv_lead = ff_inv(b[-1])
-    quot = [0] * (len(rem) - db)
-    for i in range(len(rem) - 1, db - 1, -1):
-        c = rem[i]
-        if c == 0:
-            continue
-        q = c * inv_lead % p
-        quot[i - db] = q
-        for j in range(db + 1):
-            rem[i - db + j] = (rem[i - db + j] - q * b[j]) % p
-    return poly_trim(quot), poly_trim(rem)
-
-
-def poly_mod(a: list[int], b: list[int]) -> list[int]:
-    return poly_divmod(a, b)[1]
-
-
 def poly_monic(a: list[int]) -> list[int]:
     a = poly_trim(a)
     if not a or a[-1] == 1:
@@ -127,23 +99,17 @@ def poly_monic(a: list[int]) -> list[int]:
     return poly_scale(a, ff_inv(a[-1]))
 
 
-def poly_gcd(a: list[int], b: list[int]) -> list[int]:
-    """Monic greatest common divisor."""
-    a, b = poly_trim(a), poly_trim(b)
-    while b:
-        a, b = b, poly_mod(a, b)
-    return poly_monic(a)
-
-
 # ---------------------------------------------------------------------------
 # packed (Kronecker) arithmetic
 #
 # A polynomial with coefficients in [0, p) packs into one int, a fixed
-# number of 64-bit words per coefficient; one big-int product then yields
-# every coefficient of the polynomial product, provided a slot is wide
-# enough to hold a sum of that many coefficient products. Slots are
-# reduced mod p all at once by folding their bits above 61 onto their
-# low bits, so no per-coefficient work runs in the interpreter.
+# number of bytes per coefficient; one big-int product then yields every
+# coefficient of the polynomial product, provided a slot is wide enough to
+# hold a sum of that many coefficient products. Slots are reduced mod p
+# all at once by folding their bits above 61 onto their low bits, so no
+# per-coefficient work runs in the interpreter. Division works the same
+# way: each quotient term costs one big-int multiple of the divisor added
+# in place, and one reduction at the end clears the remainder's slots.
 
 
 class _Slots:
@@ -151,8 +117,10 @@ class _Slots:
 
     def __init__(self, term_bits: int):
         self.k = 2 * 61 + term_bits  # slot values stay below 2^k
-        self.words = (self.k + 63) // 64
-        self.bits = 64 * self.words
+        # whole bytes, not whole words: a sum of 255 products fits 136 bits
+        self.bytes = (self.k + 7) // 8
+        self.bits = 8 * self.bytes
+        self.mask = (1 << self.bits) - 1
         self._folds, bound = 0, self.k
         while bound > 62:
             bound = max(bound - 61, 61) + 1
@@ -163,18 +131,28 @@ class _Slots:
         layout = self._layouts.get(count)
         if layout is None:
             mask = (1 << self.bits * count) - 1
-            ones = mask // ((1 << self.bits) - 1)
+            ones = mask // self.mask
             layout = (mask, ones, ones * MODULUS, ones * ((1 << self.bits - 61) - 1))
             self._layouts[count] = layout
         return layout
 
     def pack(self, coeffs) -> int:
-        buf = [0] * (self.words * len(coeffs))
-        buf[:: self.words] = coeffs
-        words = array("Q", buf)
+        """One slot per coefficient, each in ``[0, 2^64)``, lowest first."""
+        if self.bytes % 8 == 0:
+            step = self.bytes // 8
+            buf = [0] * (step * len(coeffs))
+            buf[::step] = coeffs
+            words = array("Q", buf)
+            if sys.byteorder == "big":
+                words.byteswap()
+            return int.from_bytes(words.tobytes(), "little")
+        words = array("Q", coeffs)
         if sys.byteorder == "big":
             words.byteswap()
-        return int.from_bytes(words.tobytes(), "little")
+        raw, buf = words.tobytes(), bytearray(self.bytes * len(coeffs))
+        for i in range(8):
+            buf[i :: self.bytes] = raw[i::8]
+        return int.from_bytes(buf, "little")
 
     def reduce(self, value: int, count: int) -> int:
         """The lowest ``count`` slots of ``value``, each reduced mod ``p``."""
@@ -188,10 +166,26 @@ class _Slots:
 
     def unpack(self, value: int, count: int) -> list[int]:
         """Slots of a value whose lowest ``count`` slots hold residues."""
-        words = array("Q", (value & self._layout(count)[0]).to_bytes(8 * self.words * count, "little"))
+        data = (value & (1 << self.bits * count) - 1).to_bytes(self.bytes * count, "little")
+        if self.bytes % 8 == 0:
+            words = array("Q", data)[:: self.bytes // 8]
+        else:
+            raw = bytearray(8 * count)
+            for i in range(8):
+                raw[i::8] = data[i :: self.bytes]
+            words = array("Q", raw)
         if sys.byteorder == "big":
             words.byteswap()
-        return words[:: self.words].tolist()
+        return words.tolist()
+
+    def degree(self, value: int) -> int:
+        """Degree of a packed polynomial whose slots hold residues; -1 for 0."""
+        return (value.bit_length() + self.bits - 1) // self.bits - 1
+
+    def negate(self, value: int, count: int) -> int:
+        """``-value`` with nonnegative slots: ``p - c`` in each of ``count`` slots of residues."""
+        mask, _, low, _ = self._layout(count)
+        return low - (value & mask)
 
 
 def _slots(terms: int) -> _Slots:
@@ -202,16 +196,76 @@ def _slots(terms: int) -> _Slots:
 _slots_for_bits = functools.lru_cache(maxsize=64)(_Slots)
 
 
-def _packed_product(slots: _Slots, polys: list[tuple[int, int]]) -> tuple[int, int]:
-    """Product of packed ``(value, length)`` polynomials, paired up a tree."""
+def _product_tree(slots: _Slots, polys: list[tuple[int, int]]) -> list[list[tuple[int, int]]]:
+    """Packed ``(value, length)`` polynomials multiplied in pairs up a tree.
+
+    Returns the levels, the polynomials themselves first; the last level
+    holds their product. An odd one out moves up a level unchanged.
+    """
+    levels = [polys]
     while len(polys) > 1:
-        paired = []
-        for (a, na), (b, nb) in zip(polys[::2], polys[1::2]):
-            paired.append((slots.reduce(a * b, na + nb - 1), na + nb - 1))
+        paired = [
+            (slots.reduce(a * b, na + nb - 1), na + nb - 1)
+            for (a, na), (b, nb) in zip(polys[::2], polys[1::2])
+        ]
         if len(polys) % 2:
             paired.append(polys[-1])
         polys = paired
-    return polys[0]
+        levels.append(polys)
+    return levels
+
+
+def _linears(slots: _Slots, roots: list[int]) -> list[tuple[int, int]]:
+    """Packed factors of the product of ``(Z - r)``, two roots to a factor."""
+    p = MODULUS
+    pairs = [(slots.pack([a * b % p, (-a - b) % p, 1]), 3) for a, b in zip(roots[::2], roots[1::2])]
+    if len(roots) % 2:
+        pairs.append((slots.pack([(-roots[-1]) % p, 1]), 2))
+    return pairs
+
+
+def _round_up(count: int) -> int:
+    # A slot count for reducing or negating a value whose slots from
+    # ``count`` up are 0 mod p: reducing clears them, negating puts p in
+    # them. A multiple of 16 keeps the layouts that a remainder sequence
+    # of falling degree caches few.
+    return -(-count // 16) * 16
+
+
+def _divmod(slots: _Slots, a: int, da: int, b: int, db: int) -> tuple[list[int], int]:
+    """Quotient coefficients and packed remainder of ``a / b``.
+
+    ``a`` has degree at most ``da`` and ``b`` degree ``db >= 0``, and the
+    slots of both hold residues. Each quotient term adds the multiple of
+    ``-b`` that makes the top slot 0 mod p, which is then left behind;
+    one reduction of the low slots gives the remainder. The slots must
+    hold sums of ``da - db + 1`` products.
+    """
+    if da < db:
+        return [], a
+    p, bits = MODULUS, slots.bits
+    top = db * bits
+    inv = pow(b >> top, -1, p)
+    neg = slots.negate(b, _round_up(db))
+    quot = [0] * (da - db + 1)
+    for i in range(da - db, -1, -1):
+        c = (a >> (i * bits + top) & slots.mask) % p
+        if c:
+            quot[i] = q = c * inv % p
+            a += q * neg << i * bits
+    return quot, slots.reduce(a, _round_up(db))
+
+
+def _monic(slots: _Slots, a: int, da: int) -> int:
+    return slots.reduce(a * pow(a >> da * slots.bits, -1, MODULUS), da + 1)
+
+
+def _gcd(slots: _Slots, a: int, da: int, b: int, db: int) -> tuple[int, int]:
+    """Monic gcd of two packed polynomials, not both zero, and its degree."""
+    while db >= 0:
+        a, da, b = b, db, _divmod(slots, a, da, b, db)[1]
+        db = slots.degree(b)
+    return _monic(slots, a, da), da
 
 
 class _PackedMod:
@@ -271,10 +325,7 @@ def char_poly_evals(elements, points) -> list[int]:
     slots = _slots(size + 1)
 
     def product_of_linears(roots):
-        pairs = [(slots.pack([a * b % p, (-a - b) % p, 1]), 3) for a, b in zip(roots[::2], roots[1::2])]
-        if len(roots) % 2:
-            pairs.append((slots.pack([(-roots[-1]) % p, 1]), 2))
-        return _packed_product(slots, pairs)[0]
+        return _product_tree(slots, _linears(slots, roots))[-1][0][0]
 
     grouped = [points[i * len(points) // groups : (i + 1) * len(points) // groups] for i in range(groups)]
     reducers = [_PackedMod(slots.unpack(product_of_linears(g), len(g) + 1), slots) for g in grouped]
@@ -291,39 +342,31 @@ def char_poly_evals(elements, points) -> list[int]:
 
 
 def poly_powmod(base: list[int], exp: int, mod: list[int]) -> list[int]:
-    """Compute ``base^exp`` modulo the polynomial ``mod``.
+    """Compute ``base^exp`` modulo ``mod``, a polynomial of degree at least 2.
 
     Left-to-right square-and-multiply on packed remainders.
     """
-    base = poly_trim([c % MODULUS for c in poly_mod(base, mod)])
-    result = poly_mod([1], mod)
+    base = poly_trim([c % MODULUS for c in base])
     mod = poly_monic([c % MODULUS for c in mod])
-    if len(mod) < 3:
-        for i in reversed(range(exp.bit_length())):
-            result = poly_mod(poly_mul(result, result), mod)
-            if exp >> i & 1:
-                result = poly_mod(poly_mul(result, base), mod)
-        return result
-    reducer = _PackedMod(mod, _slots(len(mod)))
+    d = len(mod) - 1
+    reducer = _PackedMod(mod, _slots(max(len(mod), len(base))))
     slots = reducer.slots
-    packed_base, packed = slots.pack(base), slots.pack(result)
+    packed_base = _divmod(slots, slots.pack(base), len(base) - 1, slots.pack(mod), d)[1]
+    packed = 1
     for i in reversed(range(exp.bit_length())):
         packed = reducer.mulmod(packed, packed)
         if exp >> i & 1:
             packed = reducer.mulmod(packed, packed_base)
-    return poly_trim(slots.unpack(packed, reducer.d))
+    return poly_trim(slots.unpack(packed, d))
 
 
 def poly_from_roots(roots) -> list[int]:
     """Expand the monic polynomial with the given roots."""
-    p = MODULUS
-    coeffs = [1]
-    for r in roots:
-        r %= p
-        coeffs = [0] + coeffs
-        for i in range(len(coeffs) - 1):
-            coeffs[i] = (coeffs[i] - r * coeffs[i + 1]) % p
-    return coeffs
+    roots = [r % MODULUS for r in roots]
+    if not roots:
+        return [1]
+    slots = _slots(len(roots) + 1)
+    return slots.unpack(*_product_tree(slots, _linears(slots, roots))[-1][0])
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +383,26 @@ class RationalFn:
     def eval_pair(self, z: int):
         """Evaluate numerator and denominator at ``z`` without dividing."""
         return poly_eval(self.numerator, z), poly_eval(self.denominator, z)
+
+
+@functools.lru_cache(maxsize=8)
+def _lagrange_basis(zs: tuple[int, ...]):
+    """Slots, the product tree of the ``Z - z`` and each ``1 / M'(z)``.
+
+    Callers sample at the same points sync after sync, so each point set
+    is worked out once: ``M'(z)`` is the product of ``z - z'`` over the
+    other points.
+    """
+    p = MODULUS
+    slots = _slots(len(zs) + 1)
+    derivatives = []
+    for z in zs:
+        acc = 1
+        for other in zs:
+            if other != z:
+                acc = acc * (z - other) % p
+        derivatives.append(acc)
+    return slots, _product_tree(slots, _linears(slots, list(zs))), ff_inv_all(derivatives)
 
 
 def rational_interpolate(points, deg_num: int, deg_den: int) -> RationalFn:
@@ -360,36 +423,48 @@ def rational_interpolate(points, deg_num: int, deg_den: int) -> RationalFn:
             f"need at least {need} points for degrees {deg_num}/{deg_den}, got {len(points)}"
         )
     p = MODULUS
-    zs = [z % p for z, _ in points]
+    zs = tuple(z % p for z, _ in points)
     if len(set(zs)) != len(zs):
         raise InterpolationError("sample points must be distinct")
+    slots, tree, inv_derivatives = _lagrange_basis(zs)
+    bits = slots.bits
 
-    # Lagrange: F is the sum over the points of value / M'(z) * M / (Z - z)
-    m = len(zs)
-    big_m = poly_from_roots(zs)
-    slots = _slots(m + 1)
-    packed = 0
-    for z, (_, v) in zip(zs, points):
-        quotient = [0] * m  # M / (Z - z) by synthetic division, top down
-        c = derivative = 0
-        for j in range(m, 0, -1):
-            c = (big_m[j] + z * c) % p
-            quotient[j - 1] = c
-            derivative = (derivative * z + c) % p  # M'(z) is the quotient at z
-        packed += v % p * pow(derivative, -1, p) % p * slots.pack(quotient)
-    f = poly_trim(slots.unpack(slots.reduce(packed, m), m))
+    # Lagrange: F is the sum over the points of c = value / M'(z) times
+    # M / (Z - z). Up the product tree, a node's share of that sum is
+    # N = N_left * M_right + N_right * M_left.
+    cs = [v % p * inv % p for (_, v), inv in zip(points, inv_derivatives)]
+    shares = [
+        slots.pack([-(ca * zb + cb * za) % p, (ca + cb) % p])
+        for (za, zb), (ca, cb) in zip(zip(zs[::2], zs[1::2]), zip(cs[::2], cs[1::2]))
+    ]
+    if len(cs) % 2:
+        shares.append(cs[-1])
+    for level in tree[:-1]:
+        pairs = zip(zip(shares[::2], shares[1::2]), zip(level[::2], level[1::2]))
+        paired = [slots.reduce(nl * mr + nr * ml, ll + lr - 2) for (nl, nr), ((ml, ll), (mr, lr)) in pairs]
+        if len(shares) % 2:
+            paired.append(shares[-1])
+        shares = paired
 
-    r0, r1, t0, t1 = big_m, f, [], [1]
-    while poly_deg(r1) > deg_num:
-        q, r = poly_divmod(r0, r1)
-        r0, r1, t0, t1 = r1, r, t1, poly_sub(t0, poly_mul(q, t1))
-    num, den = r1, t1
-    if poly_deg(den) > deg_den:
+    # extended Euclid on M and F, carrying the cofactor t of F
+    r0, d0, r1 = tree[-1][0][0], len(zs), shares[0]
+    d1, t0, t1, dt1 = slots.degree(r1), 0, 1, 0
+    while d1 > deg_num:
+        quot, rem = _divmod(slots, r0, d0, r1, d1)
+        neg_t1, t = slots.negate(t1, _round_up(dt1 + 1)), t0
+        for j, q in enumerate(quot):
+            if q:
+                t += q * neg_t1 << j * bits
+        t0, t1 = t1, slots.reduce(t, _round_up(dt1 + len(quot)))
+        r0, d0, r1, d1, dt1 = r1, d1, rem, slots.degree(rem), slots.degree(t1)
+    if dt1 > deg_den:
         raise InterpolationError("no fraction within the degree bounds fits the points")
-    g = poly_gcd(num, den) if num else []
-    if g and poly_deg(g) > 0:
-        num = poly_divmod(num, g)[0]
-        den = poly_divmod(den, g)[0]
+    if d1 >= 0:
+        g, dg = _gcd(slots, r1, d1, t1, dt1)
+        if dg > 0:
+            r1, d1 = slots.pack(_divmod(slots, r1, d1, g, dg)[0]), d1 - dg
+            t1, dt1 = slots.pack(_divmod(slots, t1, dt1, g, dg)[0]), dt1 - dg
+    num, den = slots.unpack(r1, d1 + 1), slots.unpack(t1, dt1 + 1)
     inv_lead = ff_inv(den[-1])
     return RationalFn(poly_scale(num, inv_lead), poly_scale(den, inv_lead))
 
@@ -411,20 +486,71 @@ def _quadratic_roots(f: list[int]):
     return {(-b + s) * inv2 % p, (-b - s) * inv2 % p}
 
 
-# the sixth roots of unity: the powers of 7^((p-1)/6), whose order is 6
-_UNITS = [pow(7, (MODULUS - 1) // 6 * j, MODULUS) for j in range(6)]
+# The powers of a unit of order 210, a divisor of p - 1. At a root r other
+# than -delta, H = (x + delta)^((p-1)/210) takes the value omega^a for some
+# class a mod 210. The tower reads a a little at a time: H^35 gives a mod
+# 6, then H^7 gives a mod 30, then H itself gives a. Each row is
+# (exponent, modulus of the class it gives).
+_ORDER = 210
+_OMEGA = pow(17, (MODULUS - 1) // _ORDER, MODULUS)
+_UNITS = [pow(_OMEGA, i, MODULUS) for i in range(_ORDER)]
+_TOWER = ((35, 6), (7, 30), (1, 210))
+
+
+def _split(slots: _Slots, g: int, d: int, h: int) -> list[tuple[int, int]]:
+    """Pieces of the monic packed ``g`` of degree ``d >= 3`` by class, down the tower.
+
+    ``h`` is ``H`` mod ``g``. Each level splits every piece of degree 3 or
+    more by the gcds of ``H^e - u`` with it, one candidate ``u`` at a time;
+    the last candidate's roots, ``-delta`` and anything left once at most
+    two roots remain stay in the rest. Returns packed pieces with their
+    degrees.
+    """
+    done, pieces, modulus = [], [(g, d, h, 0)], 1
+    for e, n in _TOWER:
+        split = []
+        for f, df, hf, b in pieces:
+            he = hf
+            if e > 1:
+                reducer = _PackedMod(slots.unpack(f, df + 1), slots)
+                for bit in bin(e)[3:]:
+                    he = reducer.mulmod(he, he)
+                    if bit == "1":
+                        he = reducer.mulmod(he, hf)
+            classes = range(b, n, modulus)  # the classes mod n within class b
+            found, rest, drest = [], f, df
+            for a in classes[:-1]:
+                r = _divmod(slots, he, df - 1, rest, drest)[1]
+                c0 = r & slots.mask
+                r += (c0 - _UNITS[e * a % _ORDER]) % MODULUS - c0
+                w, dw = _gcd(slots, rest, drest, r, slots.degree(r))
+                if dw > 0:
+                    found.append((w, dw, a))
+                    rest, drest = slots.pack(_divmod(slots, rest, drest, w, dw)[0]), drest - dw
+                    if drest <= 2:
+                        break
+            found.append((rest, drest, classes[-1]))
+            for w, dw, a in found:
+                if dw > 2:
+                    split.append((w, dw, _divmod(slots, hf, df - 1, w, dw)[1], a))
+                elif dw > 0:
+                    done.append((w, dw))
+        pieces, modulus = split, n
+    return done + [(f, df) for f, df, _, _ in pieces]
 
 
 def find_roots(poly: list[int]) -> set[int]:
     """All roots of ``poly`` iff it splits into distinct linear factors.
 
-    Probabilistic equal-degree splitting recurses to linear factors: for
-    a seeded random ``delta``, ``h = (x + delta)^((p-1)/6)`` takes a sixth
-    root of unity ``u`` at each root other than ``-delta``, so the gcds of
-    ``h - u`` with the factor split it into up to six pieces. Degree-2
-    pieces take the direct square-root shortcut. The result is verified
-    by re-expanding the product of ``(x - r)`` terms, which rejects any
-    input that does not split into distinct linear factors.
+    Probabilistic equal-degree splitting: for a seeded random ``delta``,
+    one exponentiation gives ``H = (x + delta)^((p-1)/210)`` modulo the
+    polynomial, and ``H`` takes a 210th root of unity at each root other
+    than ``-delta``; gcds down a tower of its powers split the roots by
+    that value into up to 210 pieces. A piece of degree 3 or more starts
+    again with a fresh ``delta``; degree-2 pieces take the direct
+    square-root shortcut. The result is verified by re-expanding the
+    product of ``(x - r)`` terms, which rejects any input that does not
+    split into distinct linear factors.
     """
     p = MODULUS
     f = poly_monic(poly_trim(list(poly)))
@@ -434,9 +560,10 @@ def find_roots(poly: list[int]) -> set[int]:
         return set()
 
     rng = random.Random(0x9C0FFEE ^ len(f))
+    slots = _slots(len(f))
     roots: set[int] = set()
     stack = [f]
-    exp = (p - 1) // len(_UNITS)
+    exp = (p - 1) // _ORDER
     while stack:
         g = stack.pop()
         d = poly_deg(g)
@@ -446,27 +573,18 @@ def find_roots(poly: list[int]) -> set[int]:
         if d == 2:
             roots |= _quadratic_roots(g)
             continue
+        packed = slots.pack(g)
         for _ in range(32):
             h = poly_powmod([rng.randrange(p), 1], exp, g)
-            pieces, rest = [], g
-            # the last class, and the root -delta, stay in the rest
-            for u in _UNITS[:-1]:
-                w = poly_gcd(poly_sub(poly_mod(h, rest), [u]), rest)
-                if poly_deg(w) > 0:
-                    pieces.append(w)
-                    rest = poly_divmod(rest, w)[0]
-                    if poly_deg(rest) == 0:
-                        break
-            if poly_deg(rest) > 0:
-                pieces.append(rest)
+            pieces = _split(slots, packed, d, slots.pack(h))
             if len(pieces) > 1:
-                stack.extend(pieces)
+                stack.extend(slots.unpack(piece, dp + 1) for piece, dp in pieces)
                 break
         else:
             # an irreducible factor never splits; a linear-splittable input
             # fails each attempt with probability at most 1/2
             raise NotSplittableError("equal-degree splitting failed to converge")
 
-    if poly_from_roots(sorted(roots)) != f:
+    if poly_from_roots(roots) != f:
         raise NotSplittableError("extracted roots do not reproduce the polynomial")
     return roots

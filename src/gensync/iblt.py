@@ -19,14 +19,22 @@ _HEADER = struct.Struct(">IBQ")
 
 _CHECK_INDEX = 0xC0
 
+# Two keys that share all k cells never peel. With c cells a partition two
+# keys do so one time in c^k: every time with one cell, one time in 256
+# with four cells at the default 4 hashes, and one in 4,096 with eight.
+_MIN_PARTITION = 8
+
 
 def cell_count(expected_diffs: int, hedge: float, num_hashes: int) -> int:
-    """Table size: ceil(hedge * expected_diffs) rounded up to a multiple of k."""
+    """Table size: ceil(hedge * expected_diffs) rounded up to a multiple of k.
+
+    Each of the k partitions gets at least 8 cells.
+    """
     if expected_diffs < 1:
         raise ValueError("expected_diffs must be positive")
     if hedge < 1.0:
         raise ValueError("hedge must be at least 1.0")
-    return num_hashes * math.ceil(hedge * expected_diffs / num_hashes)
+    return num_hashes * max(_MIN_PARTITION, math.ceil(hedge * expected_diffs / num_hashes))
 
 
 class Iblt:

@@ -1,7 +1,9 @@
 import random
+import statistics
 
 import pytest
 
+from gensync import field
 from gensync.errors import InterpolationError, NotSplittableError
 from gensync.field import (
     MODULUS,
@@ -9,13 +11,14 @@ from gensync.field import (
     char_poly_evals,
     ff_inv,
     find_roots,
-    poly_divmod,
     poly_eval,
     poly_from_roots,
-    poly_mul,
     poly_powmod,
     rational_interpolate,
 )
+
+import reference_field
+from reference_field import poly_divmod, poly_mul
 
 P = MODULUS
 
@@ -158,7 +161,7 @@ def test_powmod_agrees_with_pointwise_powers():
     # modulo a split polynomial, the remainder takes base(r)^e at each root r
     rng = random.Random(0x90DE)
     for _ in range(50):
-        roots = rng.sample(range(P), rng.randint(1, 12))
+        roots = rng.sample(range(P), rng.randint(2, 12))
         mod = poly_from_roots(roots)
         base = [rng.randrange(P) for _ in range(rng.randint(1, 20))]
         e = rng.randrange(1 << 64)
@@ -212,3 +215,148 @@ def test_interpolate_rejects_points_no_fraction_fits():
     pts = [(z, poly_eval(num, z) * ff_inv(poly_eval(den, z)) % P) for z in range(40, 49)]
     with pytest.raises(InterpolationError):
         rational_interpolate(pts, 2, 2)
+
+
+# ---------------------------------------------------------------------------
+# the packed decoder against the list-based one it replaced (reference_field)
+
+
+def _roots_or_error(find, poly):
+    try:
+        return find(poly)
+    except NotSplittableError:
+        return NotSplittableError
+
+
+def _first_delta(degree: int) -> int:
+    # the first delta find_roots draws for a polynomial of this degree
+    return random.Random(0x9C0FFEE ^ (degree + 1)).randrange(P)
+
+
+# every degree up to 64 with and without a root at -delta, the slot edges,
+# and degrees up to 200
+_ROOT_CASES = (
+    [(d, False) for d in range(1, 65)]
+    + [(d, True) for d in range(1, 65)]
+    + [(d, planted) for d in (62, 63, 64, 127, 128, 200) for planted in (False, True)]
+    + [(d, d % 2 == 0) for d in range(65, 200, 27)]
+    + [(d, False) for d in random.Random(0xD1FF).choices(range(1, 48), k=160)]
+)
+
+
+def test_find_roots_agrees_with_the_list_based_decoder():
+    assert len(_ROOT_CASES) >= 300
+    rng = random.Random(0xD1FF2)
+    for degree, at_minus_delta in _ROOT_CASES:
+        roots = set(rng.sample(range(P), degree))
+        if at_minus_delta:
+            roots.pop()
+            roots.add(-_first_delta(degree) % P)
+        if len(roots) < degree:
+            continue
+        poly = poly_from_roots(roots)
+        assert poly == reference_field.poly_from_roots(sorted(roots))
+        assert find_roots(poly) == reference_field.find_roots(poly) == roots, (degree, at_minus_delta)
+
+
+def _irreducible_cubic():
+    # x^3 - 7: 7 is not a cube, as 7^((p-1)/3) != 1 and p = 1 (mod 3)
+    assert pow(7, (P - 1) // 3, P) != 1
+    return [P - 7, 0, 0, 1]
+
+
+def test_find_roots_rejects_what_does_not_split_like_the_list_based_decoder():
+    rng = random.Random(0x5E7)
+    linears = lambda k: poly_from_roots(rng.sample(range(P), k))  # noqa: E731
+    cases = [[1, 0, 1], _irreducible_cubic()]
+    cases += [poly_mul(_irreducible_cubic(), linears(k)) for k in (1, 2, 5, 20)]
+    cases += [poly_mul([1, 0, 1], linears(k)) for k in (1, 3, 9)]
+    for k in (0, 1, 4, 30):
+        r = rng.randrange(P)
+        cases.append(poly_mul(poly_from_roots([r, r]), linears(k) if k else [1]))
+    cases += [poly_from_roots([5, 5, 5]), poly_mul(poly_from_roots([9, 9, 9]), linears(6))]
+    # random monic polynomials, which almost never split
+    cases += [[rng.randrange(P) for _ in range(d)] + [1] for d in range(3, 13)]
+    for poly in cases:
+        assert _roots_or_error(find_roots, poly) is NotSplittableError
+        assert _roots_or_error(reference_field.find_roots, poly) is NotSplittableError
+
+
+def _fit_or_error(interpolate, points, deg_num, deg_den):
+    try:
+        fn = interpolate(points, deg_num, deg_den)
+    except InterpolationError as exc:
+        return "error", str(exc)
+    return fn.numerator, fn.denominator
+
+
+def test_interpolation_agrees_with_the_list_based_decoder():
+    rng = random.Random(0x1A7E)
+    errors = 0
+    for case in range(60):
+        m = rng.randint(1, 160 if case % 10 == 0 else 40)
+        deg_num = rng.randint(0, m - 1)
+        deg_den = rng.randint(0, m - 1 - deg_num)
+        if case % 4 == 0:  # overdetermined: more points than the bounds need
+            deg_num, deg_den = deg_num // 2, deg_den // 2
+        # the sample points CPI uses, or any distinct points
+        zs = [P - 1 - i for i in range(m)] if case % 2 else rng.sample(range(P), m)
+        # a fraction within the bounds, with no pole at the points
+        num = poly_from_roots(rng.sample(range(P), rng.randint(0, deg_num)))
+        den = poly_from_roots(rng.sample(range(P), rng.randint(0, deg_den)))
+        values = [poly_eval(num, z) * ff_inv(poly_eval(den, z)) % P for z in zs]
+        if case % 3 == 1:  # inconsistent: values from no low-degree fraction
+            values = [rng.randrange(P) for _ in zs]
+        elif case % 3 == 2:  # consistent but for one value
+            values[rng.randrange(m)] = rng.randrange(P)
+        points = list(zip(zs, values))
+        got = _fit_or_error(rational_interpolate, points, deg_num, deg_den)
+        assert got == _fit_or_error(reference_field.rational_interpolate, points, deg_num, deg_den)
+        errors += got[0] == "error"
+    assert 0 < errors < 60
+    # too few points and repeated points fail alike
+    for points, dn, dd in (([(3, 1), (5, 1)], 1, 1), ([(3, 1), (3, 2), (4, 1)], 1, 1)):
+        got = _fit_or_error(rational_interpolate, points, dn, dd)
+        assert got[0] == "error"
+        assert got == _fit_or_error(reference_field.rational_interpolate, points, dn, dd)
+
+
+def test_find_roots_takes_few_exponentiations(monkeypatch):
+    # a count, not a timing: each exponentiation splits by 210 classes
+    calls = []
+    real = field.poly_powmod
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(field, "poly_powmod", counting)
+    rng = random.Random(0x9057)
+    per_poly = []
+    for _ in range(20):
+        roots = set(rng.sample(range(P), 75))
+        before = len(calls)
+        assert find_roots(poly_from_roots(roots)) == roots
+        per_poly.append(len(calls) - before)
+    assert statistics.median(per_poly) <= 3
+
+
+def test_the_tower_unit_has_order_210():
+    assert (P - 1) % 210 == 0
+    assert pow(field._OMEGA, 210, P) == 1
+    for q in (2, 3, 5, 7):
+        assert pow(field._OMEGA, 210 // q, P) != 1
+
+
+def test_slots_hold_sums_of_their_term_count():
+    rng = random.Random(0x5107)
+    for terms in range(2, 401):
+        slots = field._slots(terms)
+        if terms <= 255:
+            assert slots.bits <= 136
+        # the largest slot sums: products of p - 1, each 1 mod p
+        top = slots.pack([P - 1] * terms)
+        square = slots.reduce(top * top, 2 * terms - 1)
+        assert slots.unpack(square, 2 * terms - 1) == [min(j + 1, 2 * terms - 1 - j) for j in range(2 * terms - 1)]
+        residues = [rng.randrange(P) for _ in range(terms)]
+        assert slots.unpack(slots.reduce(slots.pack(residues), terms), terms) == residues

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from gensync.errors import IncompatibleSketchError, PeelError
 from gensync.iblt import Iblt, build_table, cell_count
+from gensync.params import ProtocolParams
 
 
 def random_disjoint_sets(rng, n_common, n_a, n_b):
@@ -24,8 +25,28 @@ def random_disjoint_sets(rng, n_common, n_a, n_b):
 
 def test_cell_count_rounding():
     assert cell_count(50, 2.0, 4) == 100
-    assert cell_count(3, 2.0, 4) == 8
-    assert cell_count(1, 2.0, 4) == 4
+    assert cell_count(17, 2.0, 4) == 36
+    # at least 8 cells a partition
+    assert cell_count(3, 2.0, 4) == 32
+    assert cell_count(1, 2.0, 4) == 32
+    assert cell_count(50, 3.0, 6) == 150
+
+
+def test_two_differences_decode_at_library_defaults():
+    # one cell a partition put both keys in every cell: none of these decoded
+    params = ProtocolParams()
+    m = cell_count(2, params.iblt_hedge, params.iblt_num_hashes)
+    decoded = 0
+    for seed in range(1000):
+        rng = random.Random(seed)
+        a, b = rng.getrandbits(64), rng.getrandbits(64)
+        k = params.iblt_num_hashes
+        diff = build_table([a], m, k, seed).subtract(build_table([b], m, k, seed))
+        try:
+            decoded += diff.peel() == ({a}, {b})
+        except PeelError:
+            pass
+    assert decoded >= 995
 
 
 def test_insert_then_erase_restores_empty():
