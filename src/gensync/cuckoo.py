@@ -13,7 +13,7 @@ import random
 import struct
 
 from .errors import FilterFullError, ProtocolError
-from .hashing import MASK64, derive_seed, keyed_hash
+from .hashing import MASK64, blocks, derive_seed, keyed_hash, keyed_hashes
 
 _HEADER = struct.Struct(">BBBQ")
 
@@ -50,6 +50,8 @@ class CuckooFilter:
         self._evict_rng = random.Random(derive_seed(self.seed, _EVICT_INDEX))
         self._index_mask = self.num_buckets - 1
         self._fp_mask = (1 << fingerprint_bits) - 1
+        # fingerprint -> alt-index offset, for the fingerprints seen so far
+        self._alt_offsets: dict[int, int] = {}
 
     @property
     def capacity(self) -> int:
@@ -63,7 +65,26 @@ class CuckooFilter:
         return keyed_hash(self._idx_seed, key) & self._index_mask
 
     def alt_index(self, idx: int, fp: int) -> int:
-        return idx ^ (keyed_hash(self._alt_seed, fp) & self._index_mask)
+        return idx ^ self._alt_offset(fp)
+
+    def _alt_offset(self, fp: int) -> int:
+        offset = self._alt_offsets.get(fp)
+        if offset is None:
+            offset = self._alt_offsets[fp] = keyed_hash(self._alt_seed, fp) & self._index_mask
+        return offset
+
+    def _hash_block(self, keys: list) -> tuple[list[int], list[int]]:
+        """Fingerprints and first bucket indices of ``keys``.
+
+        The alt-index offsets of fingerprints not seen before are hashed
+        in the same pass and cached.
+        """
+        fp_mask, index_mask = self._fp_mask, self._index_mask
+        fps = [h & fp_mask or 1 for h in keyed_hashes(self._fp_seed, keys)]
+        indices = [h & index_mask for h in keyed_hashes(self._idx_seed, keys)]
+        new = list(set(fps).difference(self._alt_offsets))
+        self._alt_offsets.update(zip(new, [h & index_mask for h in keyed_hashes(self._alt_seed, new)]))
+        return fps, indices
 
     def _bucket_insert(self, idx: int, fp: int) -> bool:
         base = idx * self.bucket_size
@@ -74,32 +95,40 @@ class CuckooFilter:
                 return True
         return False
 
-    def insert(self, key: int, max_kicks: int = 500) -> bool:
-        """Place the key's fingerprint; False when the filter is full."""
-        fp = self.fingerprint(key)
-        i1 = self.index(key)
-        i2 = self.alt_index(i1, fp)
-        if self._bucket_insert(i1, fp) or self._bucket_insert(i2, fp):
+    def _place(self, idx: int, fp: int, max_kicks: int) -> bool:
+        """Put ``fp`` in bucket ``idx`` or its alternate, evicting if both are full.
+
+        False when ``max_kicks`` evictions found no free slot; the last
+        evicted fingerprint is then dropped.
+        """
+        if self._bucket_insert(idx, fp):
             return True
-        idx = self._evict_rng.choice((i1, i2))
+        alt = idx ^ self._alt_offset(fp)
+        if self._bucket_insert(alt, fp):
+            return True
+        rng = self._evict_rng
+        idx = rng.choice((idx, alt))
         for _ in range(max_kicks):
-            base = idx * self.bucket_size
-            victim = base + self._evict_rng.randrange(self.bucket_size)
+            victim = idx * self.bucket_size + rng.randrange(self.bucket_size)
             fp, self._slots[victim] = self._slots[victim], fp
-            idx = self.alt_index(idx, fp)
+            idx ^= self._alt_offset(fp)
             if self._bucket_insert(idx, fp):
                 return True
         return False
 
-    def lookup(self, key: int) -> bool:
-        fp = self.fingerprint(key)
-        i1 = self.index(key)
-        base = i1 * self.bucket_size
-        if fp in self._slots[base : base + self.bucket_size]:
+    def _holds(self, idx: int, fp: int) -> bool:
+        b = self.bucket_size
+        if fp in self._slots[idx * b : idx * b + b]:
             return True
-        i2 = self.alt_index(i1, fp)
-        base = i2 * self.bucket_size
-        return fp in self._slots[base : base + self.bucket_size]
+        idx ^= self._alt_offset(fp)
+        return fp in self._slots[idx * b : idx * b + b]
+
+    def insert(self, key: int, max_kicks: int = 500) -> bool:
+        """Place the key's fingerprint; False when the filter is full."""
+        return self._place(self.index(key), self.fingerprint(key), max_kicks)
+
+    def lookup(self, key: int) -> bool:
+        return self._holds(self.index(key), self.fingerprint(key))
 
     def to_bytes(self) -> bytes:
         out = bytearray(
@@ -173,9 +202,11 @@ def build_filter(
     """
     elements = list(elements) if not hasattr(elements, "__len__") else elements
     cf = CuckooFilter(geometry_for(len(elements), bucket_size), bucket_size, fingerprint_bits, seed)
-    for e in elements:
-        if not cf.insert(e, max_kicks):
-            raise FilterFullError(f"insertion failed at occupancy {cf.occupancy}/{cf.capacity}")
+    for block in blocks(elements):
+        fps, indices = cf._hash_block(block)
+        for e, fp, idx in zip(block, fps, indices):
+            if not cf._place(idx, fp, max_kicks):
+                raise FilterFullError(f"inserting {e} failed at occupancy {cf.occupancy}/{cf.capacity}")
     return cf
 
 
@@ -186,4 +217,8 @@ def local_only(elements, their_filter: CuckooFilter) -> set[int]:
     element the peer also holds; false positives can only hide genuine
     local-only elements.
     """
-    return {e for e in elements if not their_filter.lookup(e)}
+    out = set()
+    for block in blocks(elements):
+        fps, indices = their_filter._hash_block(block)
+        out.update(e for e, fp, idx in zip(block, fps, indices) if not their_filter._holds(idx, fp))
+    return out

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import math
 import struct
+from collections import Counter
 
 from .errors import IncompatibleSketchError, PeelError, ProtocolError
-from .hashing import MASK64, derive_seed, keyed_hash
+from .hashing import MASK64, blocks, derive_seed, keyed_hash, keyed_hashes
 
 _CELL = struct.Struct(">iQQ")
 _HEADER = struct.Struct(">IBQ")
@@ -117,13 +118,13 @@ class Iblt:
             if sign not in (-1, 1):
                 continue
             key = keys[idx]
-            if hashes[idx] != self.check_hash(key):
+            chk = self.check_hash(key)
+            if hashes[idx] != chk:
                 continue  # impure cell that merely looks pure
             if sign == 1:
                 positive.add(key)
             else:
                 negative.add(key)
-            chk = self.check_hash(key)
             for j in self._cells_for(key):
                 counts[j] -= sign
                 keys[j] ^= key
@@ -174,9 +175,27 @@ class Iblt:
 
 
 def build_table(elements, num_cells: int, num_hashes: int, seed: int) -> Iblt:
+    """The table with every element inserted, hashed a block at a time.
+
+    Each cell XORs ``key << 64 | check_hash(key)`` into one word, split
+    into its key and check sums at the end. The cells equal those of
+    ``Iblt.insert`` called on each element.
+    """
     table = Iblt(num_cells, num_hashes, seed)
-    for e in elements:
-        table.insert(e)
+    part = table._partition
+    counts = Counter()
+    words = [0] * num_cells
+    for block in blocks(elements):
+        tagged = [key << 64 | chk for key, chk in zip(block, keyed_hashes(table._check_seed, block))]
+        for j, row_seed in enumerate(table._row_seeds):
+            base = j * part
+            col = [base + h % part for h in keyed_hashes(row_seed, block)]
+            counts.update(col)
+            for idx, word in zip(col, tagged):
+                words[idx] ^= word
+    table.counts = [counts.get(i, 0) for i in range(num_cells)]
+    table.key_sums = [w >> 64 for w in words]
+    table.hash_sums = [w & MASK64 for w in words]
     return table
 
 

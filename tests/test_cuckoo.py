@@ -1,6 +1,10 @@
 import random
 
+import pytest
+
 from gensync.cuckoo import CuckooFilter, build_filter, geometry_for, local_only
+from gensync.errors import FilterFullError
+from gensync.hashing import BLOCK, keyed_hash
 
 
 def distinct_u64(rng, n, exclude=()):
@@ -140,3 +144,96 @@ def test_insert_reports_failure_when_overfull():
     results = [cf.insert(e, max_kicks=50) for e in distinct_u64(rng, 100)]
     assert not all(results)
     assert cf.occupancy <= cf.capacity
+
+
+def scalar_alt_index(cf, idx, fp):
+    return idx ^ (keyed_hash(cf._alt_seed, fp) & cf._index_mask)
+
+
+def scalar_insert(cf, key, max_kicks):
+    """The per-key insertion that batched builds must reproduce."""
+
+    def bucket_insert(idx, fp):
+        base = idx * cf.bucket_size
+        for s in range(base, base + cf.bucket_size):
+            if cf._slots[s] == 0:
+                cf._slots[s] = fp
+                cf.occupancy += 1
+                return True
+        return False
+
+    fp = cf.fingerprint(key)
+    i1 = cf.index(key)
+    i2 = scalar_alt_index(cf, i1, fp)
+    if bucket_insert(i1, fp) or bucket_insert(i2, fp):
+        return True
+    idx = cf._evict_rng.choice((i1, i2))
+    for _ in range(max_kicks):
+        victim = idx * cf.bucket_size + cf._evict_rng.randrange(cf.bucket_size)
+        fp, cf._slots[victim] = cf._slots[victim], fp
+        idx = scalar_alt_index(cf, idx, fp)
+        if bucket_insert(idx, fp):
+            return True
+    return False
+
+
+def scalar_lookup(cf, key):
+    fp, i1 = cf.fingerprint(key), cf.index(key)
+    b = cf.bucket_size
+    i2 = scalar_alt_index(cf, i1, fp)
+    return fp in cf._slots[i1 * b : i1 * b + b] or fp in cf._slots[i2 * b : i2 * b + b]
+
+
+def empty_like(cf):
+    return CuckooFilter(cf.log_buckets, cf.bucket_size, cf.fingerprint_bits, cf.seed)
+
+
+@pytest.mark.parametrize("n, bucket_size", [(1, 4), (BLOCK + 1, 4), (3 * BLOCK + 700, 4), (2_500, 2)])
+def test_build_filter_equals_scalar_inserts(n, bucket_size):
+    rng = random.Random(n)
+    keys = list(distinct_u64(rng, n))
+    cf = build_filter(keys, seed=n, bucket_size=bucket_size)
+    reference, by_insert = empty_like(cf), empty_like(cf)
+    assert all(scalar_insert(reference, k, 500) for k in keys)
+    assert all(by_insert.insert(k) for k in keys)
+    assert cf == reference == by_insert
+    assert cf.occupancy == reference.occupancy == by_insert.occupancy == n
+    assert cf._evict_rng.getstate() == reference._evict_rng.getstate()
+
+
+def test_high_load_build_kicks_like_scalar_inserts():
+    # 12,000 keys in 2^12 buckets of 4: a load of 73%, so many kicks
+    rng = random.Random(12)
+    keys = list(distinct_u64(rng, 12_000))
+    cf = build_filter(keys, seed=12)
+    reference = empty_like(cf)
+    assert all(scalar_insert(reference, k, 500) for k in keys)
+    assert cf._evict_rng.getstate() != empty_like(cf)._evict_rng.getstate()
+    assert cf == reference
+    assert cf._evict_rng.getstate() == reference._evict_rng.getstate()
+
+
+def test_build_filter_fails_where_scalar_inserts_fail():
+    # one slot a bucket at up to 80% load and few kicks: an insert fails
+    rng = random.Random(13)
+    keys = list(distinct_u64(rng, 5_000))
+    with pytest.raises(FilterFullError) as failure:
+        build_filter(keys, seed=13, bucket_size=1, max_kicks=8)
+    reference = CuckooFilter(geometry_for(len(keys), 1), 1, 12, seed=13)
+    failed_at = next(k for k in keys if not scalar_insert(reference, k, 8))
+    assert keys.index(failed_at) > 0
+    expected = f"inserting {failed_at} failed at occupancy {reference.occupancy}/{reference.capacity}"
+    assert str(failure.value) == expected
+
+
+def test_local_only_equals_lookups():
+    rng = random.Random(14)
+    theirs = distinct_u64(rng, 3 * BLOCK)
+    mine = list(theirs)[: 2 * BLOCK] + list(distinct_u64(rng, BLOCK + 9, exclude=theirs))
+    payload = build_filter(theirs, seed=14).to_bytes()
+    cf = CuckooFilter.from_bytes(payload)
+    found = local_only(mine, cf)
+    assert found == {e for e in mine if not scalar_lookup(cf, e)}
+    fresh = CuckooFilter.from_bytes(payload)
+    assert found == {e for e in mine if not fresh.lookup(e)}
+    assert local_only(mine, fresh) == found

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gensync.errors import IncompatibleSketchError, PeelError
+from gensync.hashing import BLOCK, MASK64
 from gensync.iblt import Iblt, build_table, cell_count
 from gensync.params import ProtocolParams
 
@@ -180,3 +181,23 @@ def test_peel_matches_oracle_when_it_succeeds(a, b):
         return
     assert pos == a - b
     assert neg == b - a
+
+
+@pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 10_000])
+def test_build_table_equals_inserting_each_key(n):
+    rng = random.Random(n)
+    keys = [0, MASK64, 2**63][:n] + [rng.getrandbits(64) for _ in range(n - min(n, 3))]
+    expected = Iblt(150, 6, seed=n)
+    for k in keys:
+        expected.insert(k)
+    assert build_table(keys, 150, 6, n) == expected
+    assert build_table(iter(keys), 150, 6, n) == expected
+
+
+def test_build_table_counts_each_repeat_of_a_key():
+    keys = [7, 8, 7, 2**64 - 1, 7]
+    expected = Iblt(16, 4, seed=2)
+    for k in keys:
+        expected.insert(k)
+    assert build_table(keys, 16, 4, 2) == expected
+    assert sum(expected.counts) == 4 * len(keys)
