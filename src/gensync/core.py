@@ -232,14 +232,16 @@ class GenSync:
         return tcp_connect(host, port), True
 
     def _make_observation(self, endpoint, outcome, size_before) -> Observation:
-        link = getattr(endpoint, "params", None)
+        link = endpoint.params
         if link is not None:
             up = endpoint.ledger.sent if endpoint.is_client else endpoint.ledger.received
             down = endpoint.ledger.received if endpoint.is_client else endpoint.ledger.sent
             comm = session_time(link, up, down, endpoint.turns)
             comp = scale_compute(link, self.role, outcome.compute_seconds)
         else:
-            comm = endpoint.comm_seconds
+            # a real link: whatever is not this thread's CPU time, which
+            # includes waiting while the peer computes
+            comm = outcome.wall_seconds - outcome.compute_seconds
             comp = outcome.compute_seconds
         return Observation(
             success=outcome.success,

@@ -101,7 +101,7 @@ def update_sketch(sketch: CpiSketch, added, removed) -> CpiSketch | None:
     if 0 in minus:
         return None
     p = MODULUS
-    evals = [e * a % p * pow(r, -1, p) % p for e, a, r in zip(sketch.evaluations, plus, minus)]
+    evals = [e * a % p * r % p for e, a, r in zip(sketch.evaluations, plus, ff_inv_all(minus))]
     return CpiSketch(mbar, ver, sketch.set_size + len(added) - len(removed), evals)
 
 

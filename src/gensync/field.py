@@ -281,16 +281,13 @@ class _PackedMod:
 
     def __init__(self, mod: list[int], slots: _Slots):
         # ``slots`` must hold sums of ``d + 1`` products
-        d, p = len(mod) - 1, MODULUS
-        rev = mod[::-1]
-        inv = [1]
-        for k in range(1, d - 1):
-            inv.append(-sum(rev[j] * inv[k - j] for j in range(1, k + 1)) % p)
+        # the reversed series is the quotient of x^(2d - 2) by ``mod``
+        d = len(mod) - 1
         self.d = d
         self.slots = slots
-        self._inv = slots.pack(inv[::-1])
+        self._inv = slots.pack(_divmod(slots, 1 << (2 * d - 2) * slots.bits, 2 * d - 2, slots.pack(mod), d)[0])
         self._mod = slots.pack(mod[:d])
-        self._p = slots.pack([p] * d)
+        self._p = slots.pack([MODULUS] * d)
         self._low = (1 << d * slots.bits) - 1
 
     def mulmod(self, a: int, b: int) -> int:

@@ -26,9 +26,12 @@ peers in one process do not build at once and each build counts as its
 own peer's computation. The session never changes that sketch. A
 bound-doubling retry computes its extra CPI points from the set.
 
-A session's computation seconds are its wall time minus the seconds the
-channel spent inside ``send_frame``/``recv_frame``, so sketch encoding
-and decoding count as computation and waiting for the peer does not.
+A session's computation seconds are the CPU seconds of the thread that
+runs it, so sketch encoding and decoding count as computation, while
+waiting for the peer, sleeping and the time another thread of the
+process holds the GIL do not. The session also reports its wall
+seconds, from which a channel without a link model takes its
+communication time.
 """
 
 from __future__ import annotations
@@ -67,7 +70,8 @@ class SessionOutcome:
     success: bool
     to_add: set
     sent_missing: int
-    compute_seconds: float
+    compute_seconds: float  # CPU seconds of the session's thread
+    wall_seconds: float
     failure_reason: str | None = None
 
     @property
@@ -164,7 +168,8 @@ def _local(ch, sketch):
 
 
 def _run(role, ch, protocol: ProtocolId, params: ProtocolParams, elements: set, sketch) -> SessionOutcome:
-    start, comm_start = time.perf_counter(), ch.comm_seconds
+    # the wall interval encloses the CPU interval, so CPU <= wall
+    wall, cpu = time.perf_counter(), time.thread_time()
     to_add, sent_missing, reason = set(), 0, None
     try:
         to_add, sent_missing = role(ch, protocol, params, elements, sketch)
@@ -173,9 +178,9 @@ def _run(role, ch, protocol: ProtocolId, params: ProtocolParams, elements: set, 
         reason = str(exc)
     except (_Abort, TransportError) as exc:
         reason = str(exc)
-    compute = time.perf_counter() - start - (ch.comm_seconds - comm_start)
-    # a session spent wholly in the channel can round to a hair below zero
-    return SessionOutcome(reason is None, to_add, sent_missing, max(0.0, compute), reason)
+    cpu = time.thread_time() - cpu
+    wall = time.perf_counter() - wall
+    return SessionOutcome(reason is None, to_add, sent_missing, cpu, wall, reason)
 
 
 def run_client(ch, protocol: ProtocolId, params: ProtocolParams, elements: set, sketch) -> SessionOutcome:

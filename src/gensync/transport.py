@@ -8,11 +8,13 @@ of Observations.
 Two channel families exist: a deterministic in-memory pair for
 benchmarking (communication time comes from the cost model below) and a
 blocking TCP endpoint for real two-machine syncs (communication time is
-wall-clock spent in socket operations). Emulated link behaviour is fully
-analytic rather than OS-enforced: transfer seconds follow
-``latency + bytes*8 / (bandwidth * (1 - packet_loss))`` with latency
-charged once per request/response turn, and compute seconds are scaled by
-the per-role CPU fraction. This keeps runs portable and bit-reproducible.
+the session's wall time minus its CPU time). Neither keeps a clock.
+Emulated link behaviour is fully analytic rather than OS-enforced:
+transfer seconds follow ``latency + bytes*8 / (bandwidth * (1 -
+packet_loss))`` with latency charged once per request/response turn,
+which each in-memory endpoint counts from its own frames, and compute
+seconds are scaled by the per-role CPU fraction. This keeps runs
+portable and bit-reproducible.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from __future__ import annotations
 import queue
 import socket
 import struct
-import threading
 import time
 from dataclasses import dataclass
 
@@ -147,78 +148,53 @@ class ByteLedger:
         self.received = 0
 
 
-class _PairState:
-    """Shared turn counter: a turn starts at each client-side burst.
-
-    Only the client side resets it, when its sync begins, so a server
-    that starts after the client's first frames still counts that turn.
-    """
-
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.turns = 0
-        self.last_direction = None
-
-    def record_send(self, direction: str) -> int:
-        """Count a frame sent in ``direction``; returns the turn count."""
-        with self.lock:
-            if direction == UP and self.last_direction != UP:
-                self.turns += 1
-            self.last_direction = direction
-            return self.turns
-
-    def reset(self):
-        with self.lock:
-            self.turns = 0
-            self.last_direction = None
-
-
 class MemoryEndpoint:
     """One side of an in-process channel pair with per-direction FIFO.
 
-    Each frame travels with the pair's turn count at its sending, and an
-    endpoint reports the count of its last frame, sent or received: the
-    peer's next sync cannot change it.
+    Each endpoint counts the turns of its own sync from the frames it
+    sends and receives: a turn starts at each client-to-server frame that
+    follows a server-to-client frame or opens the sync. Both ends see
+    every frame of the sync in the order the protocol imposes, so both
+    count the same turns whichever starts first.
     """
 
-    def __init__(self, outbox, inbox, direction, pair_state, params, timeout=60.0):
+    def __init__(self, outbox, inbox, direction, params, timeout=60.0):
         self._outbox = outbox
         self._inbox = inbox
         self.direction = direction  # direction of frames this endpoint sends
-        self._pair = pair_state
         self.params = params
         self.timeout = timeout
         self.ledger = ByteLedger()
-        self.comm_seconds = 0.0
         self.turns = 0
+        self._last = None  # direction of the last frame sent or received
         self._closed = False
 
     @property
     def is_client(self) -> bool:
         return self.direction == UP
 
+    def _count(self, direction: str):
+        if direction == UP and self._last != UP:
+            self.turns += 1
+        self._last = direction
+
     def send_frame(self, frame: Frame):
         if self._closed:
             raise TransportError("channel is closed")
-        start = time.perf_counter()
-        self.turns = self._pair.record_send(self.direction)
+        self._count(self.direction)
         self.ledger.sent += frame.wire_size
-        self._outbox.put((frame, self.turns))
-        self.comm_seconds += time.perf_counter() - start
+        self._outbox.put(frame)
 
     def recv_frame(self) -> Frame:
         if self._closed:
             raise TransportError("channel is closed")
-        start = time.perf_counter()
         try:
-            item = self._inbox.get(timeout=self.timeout)
+            frame = self._inbox.get(timeout=self.timeout)
         except queue.Empty:
             raise TransportError("timed out waiting for the peer") from None
-        finally:
-            self.comm_seconds += time.perf_counter() - start
-        if item is None:
+        if frame is None:
             raise TransportError("peer closed the channel")
-        frame, self.turns = item
+        self._count(DOWN if self.is_client else UP)
         self.ledger.received += frame.wire_size
         return frame
 
@@ -230,8 +206,7 @@ class MemoryEndpoint:
     def reset_for_sync(self):
         self.ledger.reset()
         self.turns = 0
-        if self.is_client:
-            self._pair.reset()
+        self._last = None
 
 
 def memory_channel_pair(params: ChannelParams | None = None, timeout: float = 60.0):
@@ -239,9 +214,8 @@ def memory_channel_pair(params: ChannelParams | None = None, timeout: float = 60
     params = params or ChannelParams()
     up_q: queue.Queue = queue.Queue()
     down_q: queue.Queue = queue.Queue()
-    state = _PairState()
-    client = MemoryEndpoint(up_q, down_q, UP, state, params, timeout)
-    server = MemoryEndpoint(down_q, up_q, DOWN, state, params, timeout)
+    client = MemoryEndpoint(up_q, down_q, UP, params, timeout)
+    server = MemoryEndpoint(down_q, up_q, DOWN, params, timeout)
     return client, server
 
 
@@ -257,16 +231,13 @@ class TcpEndpoint:
         self.is_client = is_client
         self.params = None  # real link; no emulation
         self.ledger = ByteLedger()
-        self.comm_seconds = 0.0
 
     def send_frame(self, frame: Frame):
         data = frame.encode()
-        start = time.perf_counter()
         try:
             self._sock.sendall(data)
         except OSError as exc:
             raise TransportError(f"send failed: {exc}") from exc
-        self.comm_seconds += time.perf_counter() - start
         self.ledger.sent += len(data)
 
     def _recv_exact(self, n: int) -> bytes:
@@ -284,13 +255,8 @@ class TcpEndpoint:
         return b"".join(chunks)
 
     def recv_frame(self) -> Frame:
-        start = time.perf_counter()
-        try:
-            header = self._recv_exact(FRAME_OVERHEAD)
-            kind, length = decode_header(header)
-            payload = self._recv_exact(length) if length else b""
-        finally:
-            self.comm_seconds += time.perf_counter() - start
+        kind, length = decode_header(self._recv_exact(FRAME_OVERHEAD))
+        payload = self._recv_exact(length) if length else b""
         self.ledger.received += FRAME_OVERHEAD + length
         return Frame(kind, payload)
 

@@ -23,7 +23,7 @@ from gensync.cuckoo import CuckooFilter, build_filter
 from gensync.field import MODULUS
 from gensync.iblt import build_table, cell_count
 from gensync.session import R_PROTOCOL, handshake_payload, run_client, run_server
-from gensync.transport import ABORT, HANDSHAKE, SKETCH, Frame
+from gensync.transport import ABORT, DIFFS, HANDSHAKE, SKETCH, Frame
 
 
 def build_pair(protocol, params=None, channel_params=None, server_params=None):
@@ -375,6 +375,59 @@ def test_client_aborts_at_once_on_a_malformed_sketch(case):
     assert result == {"ok": False}
 
 
+BAD_DIFFS = {
+    # (start of the abort message, payload of ``n`` difference lists, the last one malformed)
+    "header-cut-short": (b"truncated", lambda n: bytes(4) * (n - 1) + bytes(2)),
+    "list-cut-short": (b"truncated", lambda n: bytes(4) * (n - 1) + (2).to_bytes(4, "big") + bytes(8)),
+    "trailing-byte": (b"trailing", lambda n: bytes(4) * n + b"\0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DIFFS))
+def test_iblt_server_aborts_at_once_on_malformed_diffs(case):
+    message, payload = BAD_DIFFS[case]
+    params, elements = ProtocolParams(), range(1, 51)
+    m = cell_count(params.iblt_expected_diffs, params.iblt_hedge, params.iblt_num_hashes)
+    client_end, server_end = memory_channel_pair(timeout=5)
+    server = Builder().set("protocol", "IBLT").set("communicant", server_end).build()
+    fill(server, elements)
+    t, result = start(server)
+    client_end.send_frame(Frame(HANDSHAKE, handshake_payload(ProtocolId.IBLT, params)))
+    client_end.send_frame(Frame(SKETCH, build_table(elements, m, params.iblt_num_hashes, params.rng_seed).to_bytes()))
+    assert [client_end.recv_frame().kind for _ in range(2)] == [HANDSHAKE, SKETCH]
+    began = time.perf_counter()
+    client_end.send_frame(Frame(DIFFS, payload(2)))
+    reply = client_end.recv_frame()
+    assert time.perf_counter() - began < 1
+    assert (reply.kind, reply.payload[:1]) == (ABORT, bytes([R_PROTOCOL]))
+    assert reply.payload[1:].startswith(message)
+    t.join(timeout=5)
+    assert result == {"ok": False}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DIFFS))
+def test_cuckoo_client_aborts_at_once_on_malformed_diffs(case):
+    message, payload = BAD_DIFFS[case]
+    params, elements = ProtocolParams(), range(1, 51)
+    client_end, server_end = memory_channel_pair(timeout=5)
+    client = Builder().set("protocol", "CUCKOO").set("communicant", client_end).build()
+    fill(client, elements)
+    t, result = start(client)
+    assert [server_end.recv_frame().kind for _ in range(2)] == [HANDSHAKE, SKETCH]
+    cf = build_filter(elements, params.rng_seed, params.cuckoo_bucket_size, params.cuckoo_fingerprint_bits)
+    server_end.send_frame(Frame(HANDSHAKE, handshake_payload(ProtocolId.CUCKOO, params)))
+    server_end.send_frame(Frame(SKETCH, cf.to_bytes()))
+    assert server_end.recv_frame().kind == DIFFS
+    began = time.perf_counter()
+    server_end.send_frame(Frame(DIFFS, payload(1)))
+    reply = server_end.recv_frame()
+    assert time.perf_counter() - began < 1
+    assert (reply.kind, reply.payload[:1]) == (ABORT, bytes([R_PROTOCOL]))
+    assert reply.payload[1:].startswith(message)
+    t.join(timeout=5)
+    assert result == {"ok": False}
+
+
 def test_cpi_server_refuses_a_retry_it_did_not_offer():
     params = ProtocolParams()  # cpi_retry_limit=0: no retry is legal
     client_end, server_end = memory_channel_pair(timeout=5)
@@ -444,7 +497,9 @@ def test_computation_time_counts_sketch_decoding(monkeypatch):
     decode = CuckooFilter.from_bytes
 
     def slow_decode(cls, data):
-        time.sleep(0.2)
+        began = time.thread_time()
+        while time.thread_time() - began < 0.2:  # burn this thread's CPU
+            pass
         return decode(data)
 
     monkeypatch.setattr(CuckooFilter, "from_bytes", classmethod(slow_decode))
@@ -467,6 +522,55 @@ def test_computation_time_leaves_out_waiting_for_the_peer():
     assert not t.is_alive()
     assert client.get_observation().success
     assert client.get_observation().computation_time < 0.3
+
+
+def test_computation_time_leaves_out_another_threads_cpu():
+    client, server = build_pair(ProtocolId.CUCKOO)
+    fill(client, range(1, 20_001))
+    fill(server, range(2, 20_002))
+    stop = threading.Event()
+    cpu = {}
+
+    def spin():  # pure Python, so it takes the GIL whenever it can
+        while not stop.is_set():
+            pass
+
+    def timed_sync(gs):
+        began = time.thread_time()
+        ok = gs.sync_begin()
+        cpu[gs] = (ok, time.thread_time() - began)
+
+    spinner = threading.Thread(target=spin)
+    spinner.start()
+    try:
+        t = threading.Thread(target=timed_sync, args=(server,))
+        t.start()
+        timed_sync(client)
+        t.join(timeout=30)
+    finally:
+        stop.set()
+        spinner.join(timeout=5)
+    assert not t.is_alive()
+    for gs in (client, server):
+        ok, spent = cpu[gs]
+        assert ok
+        assert gs.get_observation().computation_time <= spent + 0.001
+
+
+def test_cpi_retries_count_one_turn_each_on_both_sides():
+    a, b = seeded_sets(6, 100, 6, 6)  # 12 differences, initial bound 4
+    params = ProtocolParams(cpi_mbar=4, cpi_retry_limit=3)
+    client_end, server_end = memory_channel_pair(ChannelParams(latency_ms=100))
+    client = Builder().set("protocol", "CPI").set("communicant", client_end).set("protocol-params", params).build()
+    server = Builder().set("protocol", "CPI").set("communicant", server_end).set("protocol-params", params).build()
+    fill(client, a)
+    fill(server, b)
+    assert run_sync(client, server) == (True, True)
+    # the sketch exchange, two bound doublings (4 -> 8 -> 16), the differences
+    assert client_end.turns == server_end.turns == 4
+    comm = client.get_observation().communication_time
+    assert server.get_observation().communication_time == comm
+    assert comm == pytest.approx(0.4, abs=0.005)
 
 
 def test_late_server_still_counts_two_turns():

@@ -70,11 +70,17 @@ def test_bidirectional_fifo_order_preserved():
 def test_turn_counting_once_per_request_response():
     client, server = memory_channel_pair()
     client.send_frame(Frame(HANDSHAKE))
+    server.recv_frame()
     server.send_frame(Frame(HANDSHAKE))
     server.send_frame(Frame(DIFFS))  # same-direction burst, same turn
+    client.recv_frame()
+    client.recv_frame()
     client.send_frame(Frame(DIFFS))
+    server.recv_frame()
     server.send_frame(Frame(ACK))
+    client.recv_frame()
     assert client.turns == 2
+    assert server.turns == 2
 
 
 def test_simulate_cost_latency_only():
