@@ -26,6 +26,14 @@ peers in one process do not build at once and each build counts as its
 own peer's computation. The session never changes that sketch. A
 bound-doubling retry computes its extra CPI points from the set.
 
+A cuckoo sync hashes each element once. The filter from ``build_filter``
+keeps every element's fingerprint and first-bucket hash, and the session
+hands that filter to ``local_only``, which reuses them against the
+peer's filter of any bucket count. A peer filter whose seed, fingerprint
+width or bucket size is not the agreed one is malformed: the sync ends
+with ABORT ``R_PROTOCOL``, as for an IBLT or CPI sketch of other
+dimensions.
+
 A session's computation seconds are the CPU seconds of the thread that
 runs it, so sketch encoding and decoding count as computation, while
 waiting for the peer, sleeping and the time another thread of the
@@ -207,7 +215,7 @@ def _client(ch, protocol, params, elements, sketch):
     their_payload = _expect(ch, SKETCH).payload
 
     if protocol is ProtocolId.CUCKOO:
-        mine_only = cuckoo_mod.local_only(elements, cuckoo_mod.CuckooFilter.from_bytes(their_payload))
+        mine_only = cuckoo_mod.local_only(elements, cuckoo_mod.CuckooFilter.from_bytes(their_payload), local)
         ch.send_frame(Frame(DIFFS, _encode_lists(mine_only)))
         (their_only,) = _decode_lists(_expect(ch, DIFFS).payload, 1)
         return set(their_only), len(mine_only)
@@ -264,7 +272,7 @@ def _server(ch, protocol, params, elements, sketch):
     ch.send_frame(Frame(SKETCH, local.to_bytes()))
 
     if protocol is ProtocolId.CUCKOO:
-        server_only = cuckoo_mod.local_only(elements, cuckoo_mod.CuckooFilter.from_bytes(client_payload))
+        server_only = cuckoo_mod.local_only(elements, cuckoo_mod.CuckooFilter.from_bytes(client_payload), local)
         (client_only,) = _decode_lists(_expect(ch, DIFFS).payload, 1)
         ch.send_frame(Frame(DIFFS, _encode_lists(server_only)))
         return set(client_only), len(server_only)

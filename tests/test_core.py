@@ -375,6 +375,35 @@ def test_client_aborts_at_once_on_a_malformed_sketch(case):
     assert result == {"ok": False}
 
 
+@pytest.mark.parametrize("side", ["client", "server"])
+@pytest.mark.parametrize("field", ["seed", "fingerprint_bits", "bucket_size"])
+def test_a_cuckoo_filter_off_the_handshake_aborts_the_sync(field, side):
+    # the header is in range and the payload fits it, but one field is not the agreed one
+    params, elements = ProtocolParams(), range(1, 51)
+    header = {"seed": params.rng_seed, "fingerprint_bits": params.cuckoo_fingerprint_bits}
+    header["bucket_size"] = params.cuckoo_bucket_size
+    header[field] += 1
+    foreign = build_filter(elements, **header).to_bytes()
+    client_end, server_end = memory_channel_pair(timeout=3)
+    real, fake = (client_end, server_end) if side == "client" else (server_end, client_end)
+    peer = Builder().set("protocol", "CUCKOO").set("communicant", real).build()
+    fill(peer, elements)
+    t, result = start(peer)
+    if side == "client":
+        assert [fake.recv_frame().kind for _ in range(2)] == [HANDSHAKE, SKETCH]
+    fake.send_frame(Frame(HANDSHAKE, handshake_payload(ProtocolId.CUCKOO, params)))
+    fake.send_frame(Frame(SKETCH, foreign))
+    if side == "server":
+        assert [fake.recv_frame().kind for _ in range(2)] == [HANDSHAKE, SKETCH]
+    began = time.perf_counter()
+    reply = fake.recv_frame()
+    assert time.perf_counter() - began < 1
+    assert (reply.kind, reply.payload[:1]) == (ABORT, bytes([R_PROTOCOL]))
+    t.join(timeout=5)
+    assert result == {"ok": False}
+    assert peer.get_observation().failure_reason.startswith("filters disagree")
+
+
 BAD_DIFFS = {
     # (start of the abort message, payload of ``n`` difference lists, the last one malformed)
     "header-cut-short": (b"truncated", lambda n: bytes(4) * (n - 1) + bytes(2)),

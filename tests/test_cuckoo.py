@@ -1,9 +1,10 @@
 import random
 
 import pytest
+import reference_cuckoo
 
 from gensync.cuckoo import CuckooFilter, build_filter, geometry_for, local_only
-from gensync.errors import FilterFullError
+from gensync.errors import FilterFullError, IncompatibleSketchError, ProtocolError
 from gensync.hashing import BLOCK, keyed_hash
 
 
@@ -237,3 +238,133 @@ def test_local_only_equals_lookups():
     fresh = CuckooFilter.from_bytes(payload)
     assert found == {e for e in mine if not fresh.lookup(e)}
     assert local_only(mine, fresh) == found
+
+
+# the lane codec against the per-slot loops it replaced (reference_cuckoo)
+
+
+def filled_at_random(rng, log_buckets, bucket_size, fingerprint_bits):
+    """A filter whose slots hold random fingerprints, the widest among them, and empty slots."""
+    cf = CuckooFilter(log_buckets, bucket_size, fingerprint_bits, seed=rng.getrandbits(64))
+    top = (1 << fingerprint_bits) - 1
+    for s in range(cf.capacity):
+        cf._slots[s] = rng.choice((0, top, rng.randrange(1, top + 1)))
+    return cf
+
+
+# (log_buckets, bucket_size): tiny filters whose slots do not fill a group
+# of eight or a whole byte, one chunk of the codec, several, and a part chunk
+GEOMETRIES = [
+    (1, 1), (1, 2), (2, 1), (1, 3), (2, 3), (3, 1), (1, 4), (1, 8), (2, 8),
+    (10, 4), (11, 4), (11, 8), (11, 3), (12, 2), (13, 1),
+]
+
+
+@pytest.mark.parametrize("fingerprint_bits", range(4, 33))
+def test_codec_equals_the_per_slot_reference(fingerprint_bits):
+    rng = random.Random(fingerprint_bits)
+    for log_buckets, bucket_size in GEOMETRIES:
+        cf = filled_at_random(rng, log_buckets, bucket_size, fingerprint_bits)
+        payload = cf.to_bytes()
+        assert payload == reference_cuckoo.encode(log_buckets, bucket_size, fingerprint_bits, cf.seed, cf._slots)
+        header, slots, occupancy = reference_cuckoo.decode(payload)
+        back = CuckooFilter.from_bytes(payload)
+        assert back == cf
+        assert list(back._slots) == slots
+        assert back.occupancy == occupancy == sum(1 for fp in cf._slots if fp)
+        # any body of the right length, including set padding bits in the last byte
+        noise = payload[:11] + rng.randbytes(len(payload) - 11)
+        header, slots, occupancy = reference_cuckoo.decode(noise)
+        back = CuckooFilter.from_bytes(noise)
+        assert (back.log_buckets, back.bucket_size, back.fingerprint_bits, back.seed) == header
+        assert list(back._slots) == slots
+        assert back.occupancy == occupancy
+
+
+@pytest.mark.parametrize("bucket_size", [1, 2, 4, 8])
+def test_round_trip_restores_slots_and_occupancy(bucket_size):
+    rng = random.Random(bucket_size)
+    for fingerprint_bits in range(4, 33):
+        keys = distinct_u64(rng, 300)
+        # at most 30% load: buckets of one fill up long before 80%
+        cf = CuckooFilter(geometry_for(1_000, bucket_size, 1.0), bucket_size, fingerprint_bits, seed=fingerprint_bits)
+        assert all(cf.insert(k) for k in keys)
+        back = CuckooFilter.from_bytes(cf.to_bytes())
+        assert back._slots == cf._slots
+        assert back.occupancy == cf.occupancy == len(keys)
+        assert back.to_bytes() == cf.to_bytes()
+
+
+def test_header_beyond_the_kept_hash_bits_is_refused():
+    header = bytes([33, 4, 12]) + bytes(8)
+    with pytest.raises(ProtocolError, match="out of range"):
+        CuckooFilter.from_bytes(header)
+    with pytest.raises(ValueError):
+        CuckooFilter(33, 4, 12, seed=0)
+
+
+def test_decoded_filter_takes_no_inserts():
+    cf = CuckooFilter.from_bytes(build_filter(range(100), seed=3).to_bytes())
+    assert cf.lookup(5)
+    with pytest.raises(ValueError):
+        cf.insert(1_000)
+
+
+# kept hashes: local_only reuses the build's fingerprints and bucket hashes
+
+
+@pytest.mark.parametrize(
+    "mine_n, their_n",
+    [(3_000, 3_500), (3_500, 3_000), (1_000, 20_000), (20_000, 1_000)],
+)
+def test_kept_hashes_answer_like_lookups_across_geometries(mine_n, their_n):
+    rng = random.Random(mine_n * their_n)
+    pool = list(distinct_u64(rng, mine_n + their_n))
+    shared = min(mine_n, their_n) - 40
+    mine, theirs = pool[:mine_n], pool[:shared] + pool[mine_n : mine_n + their_n - shared]
+    mine_cf, their_cf = build_filter(mine, seed=21), build_filter(theirs, seed=21)
+    # the peer's filter has more buckets than this side's, or fewer
+    assert (their_cf.log_buckets > mine_cf.log_buckets) == (their_n > mine_n)
+    assert their_cf.log_buckets != mine_cf.log_buckets
+    decoded = CuckooFilter.from_bytes(their_cf.to_bytes())
+    expected = {e for e in mine if not scalar_lookup(decoded, e)}
+    assert len(expected) >= 40
+    assert local_only(mine, decoded, mine_cf) == expected
+    assert local_only(mine, CuckooFilter.from_bytes(their_cf.to_bytes())) == expected
+    assert expected == {e for e in mine if not their_cf.lookup(e)}
+
+
+def test_kept_hashes_index_a_peer_filter_of_2_to_the_18_buckets():
+    # bucket indices wider than 16 bits: the kept hash must cover them
+    rng = random.Random(22)
+    mine = list(distinct_u64(rng, 1_000))
+    mine_cf = build_filter(mine, seed=22)
+    their_cf = CuckooFilter(18, 4, 12, seed=22)
+    assert all(their_cf.insert(e) for e in mine[:300])
+    expected = {e for e in mine if not scalar_lookup(their_cf, e)}
+    assert len(expected) >= 690
+    assert local_only(mine, their_cf, mine_cf) == expected
+
+
+@pytest.mark.parametrize("field", ["seed", "fingerprint_bits", "bucket_size"])
+def test_local_only_refuses_a_filter_built_otherwise(field):
+    settings = {"seed": 9, "fingerprint_bits": 12, "bucket_size": 4}
+    mine = build_filter(range(500), **settings)
+    settings[field] += 1
+    theirs = CuckooFilter.from_bytes(build_filter(range(500), **settings).to_bytes())
+    with pytest.raises(IncompatibleSketchError):
+        local_only(range(500), theirs, mine)
+    assert local_only(range(500), theirs) <= set(range(500))
+
+
+def test_local_only_hashes_elements_the_filter_was_not_built_from():
+    rng = random.Random(23)
+    mine = list(distinct_u64(rng, 2_000))
+    mine_cf = build_filter(mine, seed=23)
+    their_cf = build_filter(mine[:1_500] + list(distinct_u64(rng, 100)), seed=23)
+    # the same elements in another order, one more, and the build's list changed since
+    others = [sorted(mine), mine + [7], mine]
+    mine.append(7)
+    for elements in others:
+        expected = {e for e in elements if not scalar_lookup(their_cf, e)}
+        assert local_only(elements, their_cf, mine_cf) == expected
