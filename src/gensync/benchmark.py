@@ -14,26 +14,33 @@ import random
 import statistics
 import threading
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 
 from .core import Builder
 from .errors import ConfigError, ParameterError
 from .hashing import MASK64
 from .params import Observation, ProtocolId, ProtocolParams
-from .transport import ChannelParams, memory_channel_pair
+from .transport import LINK_RANGES, ChannelParams, in_range, memory_channel_pair
 
 # network presets derived from the good/bad edge-network conditions
 GOOD_NETWORK = ChannelParams(latency_ms=30, bandwidth_up_mbps=7, bandwidth_down_mbps=7)
 BAD_NETWORK = ChannelParams(latency_ms=50, bandwidth_up_mbps=1, bandwidth_down_mbps=1)
 
+
+def _link(name: str):
+    """The test and interval of a link field, from ChannelParams' table."""
+    return partial(in_range, interval=LINK_RANGES[name]), LINK_RANGES[name]
+
+
 # Each script key, in to_script's order: the BenchConfig fields it sets, its
 # type, and the values it accepts as a test and in interval notation.
 _SCRIPT_KEYS = {
     "protocol": (("protocol",), ProtocolId, None, "CPI, IBLT or CUCKOO"),
-    "latency": (("latency_ms",), float, lambda v: v >= 0, "[0, inf)"),
-    "bandwidth": (("bandwidth_up_mbps", "bandwidth_down_mbps"), float, lambda v: v > 0, "(0, inf)"),
-    "packet_loss": (("packet_loss",), float, lambda v: 0 <= v < 1, "[0, 1)"),
-    "cpu_server": (("cpu_server",), float, lambda v: 0 < v <= 100, "(0, 100]"),
-    "cpu_client": (("cpu_client",), float, lambda v: 0 < v <= 100, "(0, 100]"),
+    "latency": (("latency_ms",), float, *_link("latency_ms")),
+    "bandwidth": (("bandwidth_up_mbps", "bandwidth_down_mbps"), float, *_link("bandwidth_up_mbps")),
+    "packet_loss": (("packet_loss",), float, *_link("packet_loss")),
+    "cpu_server": (("cpu_server",), float, *_link("cpu_server")),
+    "cpu_client": (("cpu_client",), float, *_link("cpu_client")),
     "repeat": (("repeat",), int, lambda v: v >= 1, "[1, inf)"),
     "set_size": (("set_size",), int, lambda v: v >= 0, "[0, inf)"),
     "diff_count": (("diff_count",), int, lambda v: v >= 0, "[0, inf)"),

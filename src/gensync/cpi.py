@@ -52,12 +52,9 @@ class CpiSketch:
     evaluations: list[int]
 
     def to_bytes(self) -> bytes:
-        out = bytearray(
-            _SKETCH_HEADER.pack(self.set_size, self.mbar, self.verification_points, len(self.evaluations))
-        )
-        for v in self.evaluations:
-            out += v.to_bytes(8, "big")
-        return bytes(out)
+        count = len(self.evaluations)
+        fmt = f"{_SKETCH_HEADER.format}{count}Q"
+        return struct.pack(fmt, self.set_size, self.mbar, self.verification_points, count, *self.evaluations)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> CpiSketch:

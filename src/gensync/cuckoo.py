@@ -2,15 +2,15 @@
 
 Fingerprint 0 marks an empty slot, so fingerprints live in ``[1, 2^f - 1]``.
 The two candidate buckets of a key are linked by the XOR involution
-``alt_index(i, fp) = i XOR (H(fp) mod num_buckets)`` with a power-of-two
-bucket count, so applying it twice returns the original index.
+``i XOR (H(fp) mod num_buckets)`` with a power-of-two bucket count, so
+applying it twice returns the original index.
 
 A key's fingerprint and the hash that picks its first bucket depend only
 on the seed and the fingerprint width, not on the bucket count: the index
-is the low ``log_buckets`` bits of that hash. So ``build_filter`` keeps
-both for every element it places, and ``local_only`` reuses them against
-a peer's filter of any size under the same seed; a sync hashes each of
-its elements once.
+is the low ``log_buckets`` bits of that hash. So ``build_filter``, the only
+way to fill a filter, keeps both for every element it places, and
+``local_only``, the only query, reuses them against a peer's filter of
+any size under the same seed; a sync hashes each of its elements once.
 
 Slots live in an array of 32-bit lanes. On the wire, eight slots of
 ``f`` bits fill exactly ``f`` bytes, so the codec works on lanes: three
@@ -28,7 +28,11 @@ from array import array
 from functools import lru_cache
 
 from .errors import FilterFullError, IncompatibleSketchError, ProtocolError
-from .hashing import MASK64, blocks, derive_seed, keyed_hash, keyed_hashes
+from .hashing import MASK64, blocks, derive_seed, keyed_hashes
+
+# Not called here: perfbench counts per-key hash calls by wrapping this
+# module's ``keyed_hash``, so the name stays bound for it to wrap.
+from .hashing import keyed_hash  # noqa: F401
 
 _HEADER = struct.Struct(">BBBQ")
 
@@ -103,7 +107,7 @@ class CuckooFilter:
         self._fill: bytearray | None = bytearray(self.num_buckets)
         # (elements, their fingerprints, the low _KEPT_BITS of their
         # first-bucket hashes) of a filter from build_filter; None otherwise
-        self._kept: tuple[object, array, array] | None = None
+        self._kept: tuple[list, array, array] | None = None
         self._fp_seed = derive_seed(self.seed, _FP_INDEX)
         self._idx_seed = derive_seed(self.seed, _IDX_INDEX)
         self._alt_seed = derive_seed(self.seed, _ALT_INDEX)
@@ -116,30 +120,6 @@ class CuckooFilter:
     @property
     def capacity(self) -> int:
         return self.num_buckets * self.bucket_size
-
-    def fingerprint(self, key: int) -> int:
-        fp = keyed_hash(self._fp_seed, key) & self._fp_mask
-        return fp if fp else 1
-
-    def index(self, key: int) -> int:
-        return keyed_hash(self._idx_seed, key) & self._index_mask
-
-    def alt_index(self, idx: int, fp: int) -> int:
-        return idx ^ self._alt_offset(fp)
-
-    def _alt_offset(self, fp: int) -> int:
-        offset = self._alt_offsets.get(fp)
-        if offset is None:
-            offset = self._alt_offsets[fp] = keyed_hash(self._alt_seed, fp) & self._index_mask
-        return offset
-
-    def _key_hashes(self, keys) -> tuple[array, array]:
-        """Fingerprints and the low ``_KEPT_BITS`` of the first-bucket hashes of ``keys``."""
-        fps, kept = array("I"), array("I")
-        for block in blocks(keys):
-            fps.extend([h & self._fp_mask or 1 for h in keyed_hashes(self._fp_seed, block)])
-            kept.extend([h & _KEPT_MASK for h in keyed_hashes(self._idx_seed, block)])
-        return fps, kept
 
     def _cache_alt_offsets(self, fps) -> dict[int, int]:
         """Hash the alt-index offsets of the fingerprints not seen before; returns the cache."""
@@ -165,7 +145,8 @@ class CuckooFilter:
         """
         if self._bucket_insert(idx, fp):
             return True
-        alt = idx ^ self._alt_offset(fp)
+        offsets = self._alt_offsets
+        alt = idx ^ offsets[fp]
         if self._bucket_insert(alt, fp):
             return True
         rng = self._evict_rng
@@ -173,27 +154,10 @@ class CuckooFilter:
         for _ in range(max_kicks):
             victim = idx * self.bucket_size + rng.randrange(self.bucket_size)
             fp, self._slots[victim] = self._slots[victim], fp
-            idx ^= self._alt_offset(fp)
+            idx ^= offsets[fp]
             if self._bucket_insert(idx, fp):
                 return True
         return False
-
-    def insert(self, key: int, max_kicks: int = 500) -> bool:
-        """Place the key's fingerprint; False when the filter is full.
-
-        A filter decoded from bytes answers queries only: its buckets
-        need not fill from the front.
-        """
-        if self._fill is None:
-            raise ValueError("a decoded cuckoo filter takes no inserts")
-        return self._place(self.index(key), self.fingerprint(key), max_kicks)
-
-    def lookup(self, key: int) -> bool:
-        fp, idx, b = self.fingerprint(key), self.index(key), self.bucket_size
-        if fp in self._slots[idx * b : idx * b + b]:
-            return True
-        idx ^= self._alt_offset(fp)
-        return fp in self._slots[idx * b : idx * b + b]
 
     def to_bytes(self) -> bytes:
         """Header, then the fingerprints packed in slot order, little-endian bit order."""
@@ -245,16 +209,6 @@ class CuckooFilter:
             cf._slots.byteswap()
         return cf
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, CuckooFilter)
-            and self.log_buckets == other.log_buckets
-            and self.bucket_size == other.bucket_size
-            and self.fingerprint_bits == other.fingerprint_bits
-            and self.seed == other.seed
-            and self._slots == other._slots
-        )
-
 
 def build_filter(
     elements,
@@ -271,9 +225,12 @@ def build_filter(
     Raises FilterFullError if any insertion fails, which at the sizing
     target of 80% load indicates a pathological input.
     """
-    elements = elements if hasattr(elements, "__len__") else list(elements)
+    elements = list(elements)
     cf = CuckooFilter(geometry_for(len(elements), bucket_size), bucket_size, fingerprint_bits, seed)
-    fps, kept = cf._key_hashes(elements)
+    fps, kept = array("I"), array("I")
+    for block in blocks(elements):
+        fps.extend([h & cf._fp_mask or 1 for h in keyed_hashes(cf._fp_seed, block)])
+        kept.extend([h & _KEPT_MASK for h in keyed_hashes(cf._idx_seed, block)])
     cf._kept = elements, fps, kept
     cf._cache_alt_offsets(fps)
     place, mask = cf._place, cf._index_mask
@@ -283,30 +240,24 @@ def build_filter(
     return cf
 
 
-def local_only(elements, their_filter: CuckooFilter, mine: CuckooFilter | None = None) -> set[int]:
-    """Elements with a negative membership answer against the peer's filter.
+def local_only(mine: CuckooFilter, theirs: CuckooFilter) -> set[int]:
+    """The elements of ``mine`` with a negative membership answer in ``theirs``.
 
     A negative answer is definitive, so the result never contains an
     element the peer also holds; false positives can only hide genuine
     local-only elements.
 
-    ``mine`` is this side's filter, which must agree with the peer's on
-    seed, fingerprint width and bucket size, or IncompatibleSketchError
-    is raised. When ``build_filter`` made it from this very ``elements``
-    object, unchanged since, its kept hashes stand for hashing
-    ``elements`` again; otherwise ``elements`` is hashed.
+    ``mine`` is this side's filter from ``build_filter``: its kept hashes
+    stand for hashing its elements again. The filters must agree on seed,
+    fingerprint width and bucket size, or IncompatibleSketchError is
+    raised; their bucket counts may differ.
     """
-    shape = (their_filter.seed, their_filter.fingerprint_bits, their_filter.bucket_size)
-    if mine is not None and (mine.seed, mine.fingerprint_bits, mine.bucket_size) != shape:
+    shape = (theirs.seed, theirs.fingerprint_bits, theirs.bucket_size)
+    if (mine.seed, mine.fingerprint_bits, mine.bucket_size) != shape:
         raise IncompatibleSketchError("filters disagree on seed, fingerprint width or bucket size")
-    elements = elements if hasattr(elements, "__len__") else list(elements)
-    built = mine._kept if mine is not None else None
-    if built is not None and built[0] is elements and len(built[1]) == len(elements):
-        _, fps, kept = built
-    else:
-        fps, kept = their_filter._key_hashes(elements)
-    offsets = their_filter._cache_alt_offsets(fps)
-    slots, b, mask = their_filter._slots, their_filter.bucket_size, their_filter._index_mask
+    elements, fps, kept = mine._kept
+    offsets = theirs._cache_alt_offsets(fps)
+    slots, b, mask = theirs._slots, theirs.bucket_size, theirs._index_mask
     out = set()
     for e, fp, h in zip(elements, fps, kept):
         i = (h & mask) * b

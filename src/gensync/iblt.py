@@ -1,9 +1,10 @@
-"""Invertible Bloom lookup table: insert/erase, subtraction and peeling.
+"""Invertible Bloom lookup table: whole-set builds, subtraction and peeling.
 
-Cells carry a signed count, a 64-bit XOR key accumulator and a 64-bit XOR
-accumulator of a check hash of each key. Hashing is partitioned: hash j
-maps a key into partition j of ``m/k`` cells, guaranteeing k distinct
-cells per key.
+Each cell carries a signed count and one word, the XOR over its keys of
+``key << 64 | check``, where ``check`` is a 64-bit check hash of the key:
+the word's high half is the cell's key sum and its low half the check-hash
+sum. Hashing is partitioned: hash j maps a key into partition j of
+``m/k`` cells, guaranteeing k distinct cells per key.
 """
 
 from __future__ import annotations
@@ -11,11 +12,14 @@ from __future__ import annotations
 import math
 import struct
 from collections import Counter
+from itertools import chain
 
 from .errors import IncompatibleSketchError, PeelError, ProtocolError
 from .hashing import MASK64, blocks, derive_seed, keyed_hash, keyed_hashes
 
-_CELL = struct.Struct(">iQQ")
+# a cell on the wire: count, key sum, check-hash sum
+_CELL = "iQQ"
+_CELL_SIZE = struct.calcsize(">" + _CELL)
 _HEADER = struct.Struct(">IBQ")
 
 _CHECK_INDEX = 0xC0
@@ -48,41 +52,10 @@ class Iblt:
         self.num_hashes = num_hashes
         self.seed = seed & MASK64
         self.counts = [0] * num_cells
-        self.key_sums = [0] * num_cells
-        self.hash_sums = [0] * num_cells
+        self.words = [0] * num_cells
         self._partition = num_cells // num_hashes
         self._row_seeds = [derive_seed(self.seed, j) for j in range(num_hashes)]
         self._check_seed = derive_seed(self.seed, _CHECK_INDEX)
-
-    def _cells_for(self, key: int):
-        part = self._partition
-        return [
-            j * part + keyed_hash(self._row_seeds[j], key) % part
-            for j in range(self.num_hashes)
-        ]
-
-    def check_hash(self, key: int) -> int:
-        return keyed_hash(self._check_seed, key)
-
-    def _apply(self, key: int, delta: int):
-        chk = self.check_hash(key)
-        for idx in self._cells_for(key):
-            self.counts[idx] += delta
-            self.key_sums[idx] ^= key
-            self.hash_sums[idx] ^= chk
-
-    def insert(self, key: int) -> None:
-        self._apply(key, +1)
-
-    def erase(self, key: int) -> None:
-        self._apply(key, -1)
-
-    def is_empty(self) -> bool:
-        return (
-            not any(self.counts)
-            and not any(self.key_sums)
-            and not any(self.hash_sums)
-        )
 
     def subtract(self, other: Iblt) -> Iblt:
         """Cell-wise difference; common insertions cancel exactly."""
@@ -94,8 +67,7 @@ class Iblt:
             raise IncompatibleSketchError("tables disagree on size, hash count or seed")
         out = Iblt(self.num_cells, self.num_hashes, self.seed)
         out.counts = [a - b for a, b in zip(self.counts, other.counts)]
-        out.key_sums = [a ^ b for a, b in zip(self.key_sums, other.key_sums)]
-        out.hash_sums = [a ^ b for a, b in zip(self.hash_sums, other.hash_sums)]
+        out.words = [a ^ b for a, b in zip(self.words, other.words)]
         return out
 
     def peel(self):
@@ -106,8 +78,8 @@ class Iblt:
         table is nonempty (undersized table or a check-hash collision).
         """
         counts = list(self.counts)
-        keys = list(self.key_sums)
-        hashes = list(self.hash_sums)
+        words = list(self.words)
+        part = self._partition
         positive: set[int] = set()
         negative: set[int] = set()
 
@@ -117,30 +89,29 @@ class Iblt:
             sign = counts[idx]
             if sign not in (-1, 1):
                 continue
-            key = keys[idx]
-            chk = self.check_hash(key)
-            if hashes[idx] != chk:
+            word = words[idx]
+            key = word >> 64
+            if word & MASK64 != keyed_hash(self._check_seed, key):
                 continue  # impure cell that merely looks pure
             if sign == 1:
                 positive.add(key)
             else:
                 negative.add(key)
-            for j in self._cells_for(key):
-                counts[j] -= sign
-                keys[j] ^= key
-                hashes[j] ^= chk
-                if counts[j] in (-1, 1):
-                    queue.append(j)
+            for j, row_seed in enumerate(self._row_seeds):
+                cell = j * part + keyed_hash(row_seed, key) % part
+                counts[cell] -= sign
+                words[cell] ^= word
+                if counts[cell] in (-1, 1):
+                    queue.append(cell)
 
-        if any(counts) or any(keys) or any(hashes):
+        if any(counts) or any(words):
             raise PeelError("no pure cell remains but the table is nonempty")
         return positive, negative
 
     def to_bytes(self) -> bytes:
-        out = bytearray(_HEADER.pack(self.num_cells, self.num_hashes, self.seed))
-        for c, k, h in zip(self.counts, self.key_sums, self.hash_sums):
-            out += _CELL.pack(c, k, h)
-        return bytes(out)
+        m, words = self.num_cells, self.words
+        cells = chain.from_iterable(zip(self.counts, [w >> 64 for w in words], [w & MASK64 for w in words]))
+        return struct.pack(_HEADER.format + _CELL * m, m, self.num_hashes, self.seed, *cells)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> Iblt:
@@ -150,41 +121,21 @@ class Iblt:
         m, k, seed = _HEADER.unpack_from(data, 0)
         if k < 2 or m < k or m % k:
             raise ProtocolError(f"IBLT header announces {m} cells for {k} hashes")
-        if len(data) != _HEADER.size + m * _CELL.size:
+        if len(data) != _HEADER.size + m * _CELL_SIZE:
             raise ProtocolError(f"IBLT has {len(data)} bytes, its header announces {m} cells")
         table = cls(m, k, seed)
-        off = _HEADER.size
-        for i in range(m):
-            c, key, chk = _CELL.unpack_from(data, off)
-            table.counts[i] = c
-            table.key_sums[i] = key
-            table.hash_sums[i] = chk
-            off += _CELL.size
+        cells = struct.unpack_from(">" + _CELL * m, data, _HEADER.size)
+        table.counts = list(cells[::3])
+        table.words = [key << 64 | chk for key, chk in zip(cells[1::3], cells[2::3])]
         return table
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Iblt)
-            and self.num_cells == other.num_cells
-            and self.num_hashes == other.num_hashes
-            and self.seed == other.seed
-            and self.counts == other.counts
-            and self.key_sums == other.key_sums
-            and self.hash_sums == other.hash_sums
-        )
 
 
 def build_table(elements, num_cells: int, num_hashes: int, seed: int) -> Iblt:
-    """The table with every element inserted, hashed a block at a time.
-
-    Each cell XORs ``key << 64 | check_hash(key)`` into one word, split
-    into its key and check sums at the end. The cells equal those of
-    ``Iblt.insert`` called on each element.
-    """
+    """The table with every element inserted, hashed a block at a time."""
     table = Iblt(num_cells, num_hashes, seed)
     part = table._partition
     counts = Counter()
-    words = [0] * num_cells
+    words = table.words
     for block in blocks(elements):
         tagged = [key << 64 | chk for key, chk in zip(block, keyed_hashes(table._check_seed, block))]
         for j, row_seed in enumerate(table._row_seeds):
@@ -194,8 +145,6 @@ def build_table(elements, num_cells: int, num_hashes: int, seed: int) -> Iblt:
             for idx, word in zip(col, tagged):
                 words[idx] ^= word
     table.counts = [counts.get(i, 0) for i in range(num_cells)]
-    table.key_sums = [w >> 64 for w in words]
-    table.hash_sums = [w & MASK64 for w in words]
     return table
 
 

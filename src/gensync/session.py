@@ -108,9 +108,7 @@ def _encode_lists(*lists) -> bytes:
     out = bytearray()
     for lst in lists:
         items = sorted(lst)
-        out += _U32.pack(len(items))
-        for v in items:
-            out += v.to_bytes(8, "big")
+        out += struct.pack(f">I{len(items)}Q", len(items), *items)
     return bytes(out)
 
 
@@ -125,7 +123,7 @@ def _decode_lists(payload: bytes, count: int):
         end = off + 8 * n
         if end > len(payload):
             raise ProtocolError("truncated difference payload")
-        lists.append([int.from_bytes(payload[off + 8 * i : off + 8 * i + 8], "big") for i in range(n)])
+        lists.append(list(struct.unpack_from(f">{n}Q", payload, off)))
         off = end
     if off != len(payload):
         raise ProtocolError("trailing bytes in difference payload")
@@ -215,7 +213,7 @@ def _client(ch, protocol, params, elements, sketch):
     their_payload = _expect(ch, SKETCH).payload
 
     if protocol is ProtocolId.CUCKOO:
-        mine_only = cuckoo_mod.local_only(elements, cuckoo_mod.CuckooFilter.from_bytes(their_payload), local)
+        mine_only = cuckoo_mod.local_only(local, cuckoo_mod.CuckooFilter.from_bytes(their_payload))
         ch.send_frame(Frame(DIFFS, _encode_lists(mine_only)))
         (their_only,) = _decode_lists(_expect(ch, DIFFS).payload, 1)
         return set(their_only), len(mine_only)
@@ -272,7 +270,7 @@ def _server(ch, protocol, params, elements, sketch):
     ch.send_frame(Frame(SKETCH, local.to_bytes()))
 
     if protocol is ProtocolId.CUCKOO:
-        server_only = cuckoo_mod.local_only(elements, cuckoo_mod.CuckooFilter.from_bytes(client_payload), local)
+        server_only = cuckoo_mod.local_only(local, cuckoo_mod.CuckooFilter.from_bytes(client_payload))
         (client_only,) = _decode_lists(_expect(ch, DIFFS).payload, 1)
         ch.send_frame(Frame(DIFFS, _encode_lists(server_only)))
         return set(client_only), len(server_only)

@@ -23,7 +23,7 @@ import queue
 import socket
 import struct
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ProtocolError, TransportError
 from .params import SyncRole
@@ -69,6 +69,27 @@ def decode_header(header: bytes):
 # emulated link model
 
 
+# Each link field's accepted values in interval notation: a square bracket
+# takes its end in, a round one leaves it out, so NaN and the infinities
+# lie in none of them.
+LINK_RANGES = {
+    "latency_ms": "[0, inf)",
+    "bandwidth_up_mbps": "(0, inf)",
+    "bandwidth_down_mbps": "(0, inf)",
+    "packet_loss": "[0, 1)",
+    "cpu_server": "(0, 100]",
+    "cpu_client": "(0, 100]",
+}
+
+
+def in_range(value: float, interval: str) -> bool:
+    """Whether ``value`` lies in ``interval``, written as in LINK_RANGES."""
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    above = low <= value if interval[0] == "[" else low < value
+    below = value <= high if interval[-1] == "]" else value < high
+    return above and below
+
+
 @dataclass(frozen=True)
 class ChannelParams:
     """Emulated link: one-way latency, asymmetric bandwidth, loss and CPU."""
@@ -81,15 +102,10 @@ class ChannelParams:
     cpu_client: float = 100.0
 
     def __post_init__(self):
-        if self.bandwidth_up_mbps <= 0 or self.bandwidth_down_mbps <= 0:
-            raise ValueError("bandwidths must be positive")
-        if not 0.0 <= self.packet_loss < 1.0:
-            raise ValueError("packet_loss must lie in [0, 1)")
-        if self.latency_ms < 0:
-            raise ValueError("latency cannot be negative")
-        for cpu in (self.cpu_server, self.cpu_client):
-            if not 0.0 < cpu <= 100.0:
-                raise ValueError("cpu percentage must lie in (0, 100]")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not in_range(value, LINK_RANGES[f.name]):
+                raise ValueError(f"{f.name} must lie in {LINK_RANGES[f.name]}, got {value}")
 
 
 def _transfer_ms(params: ChannelParams, direction: str, nbytes: int) -> float:

@@ -1,12 +1,64 @@
-"""The per-slot cuckoo filter codec, kept as a reference for differential tests.
+"""Per-key cuckoo filter operations and the per-slot codec, kept as references
+for differential tests.
 
-``gensync.cuckoo`` packs and unpacks fingerprints by lanes of eight slots;
-these are the bit loops it replaced, one slot at a time, on plain lists.
+``gensync.cuckoo`` hashes a block of keys at a time, places them by fill
+counts, and packs and unpacks fingerprints by lanes of eight slots; these
+are the one-key insertion and lookup and the bit loops, one slot at a
+time, that it must reproduce.
 """
 
 import struct
 
+from gensync.hashing import keyed_hash
+
 _HEADER = struct.Struct(">BBBQ")
+
+
+def fingerprint(cf, key):
+    fp = keyed_hash(cf._fp_seed, key) & cf._fp_mask
+    return fp if fp else 1
+
+
+def index(cf, key):
+    return keyed_hash(cf._idx_seed, key) & cf._index_mask
+
+
+def alt_index(cf, idx, fp):
+    return idx ^ (keyed_hash(cf._alt_seed, fp) & cf._index_mask)
+
+
+def insert(cf, key, max_kicks=500):
+    """Place the key's fingerprint in the first empty slot of a bucket; False when the filter is full."""
+
+    def bucket_insert(idx, fp):
+        base = idx * cf.bucket_size
+        for s in range(base, base + cf.bucket_size):
+            if cf._slots[s] == 0:
+                cf._slots[s] = fp
+                cf.occupancy += 1
+                return True
+        return False
+
+    fp = fingerprint(cf, key)
+    i1 = index(cf, key)
+    i2 = alt_index(cf, i1, fp)
+    if bucket_insert(i1, fp) or bucket_insert(i2, fp):
+        return True
+    idx = cf._evict_rng.choice((i1, i2))
+    for _ in range(max_kicks):
+        victim = idx * cf.bucket_size + cf._evict_rng.randrange(cf.bucket_size)
+        fp, cf._slots[victim] = cf._slots[victim], fp
+        idx = alt_index(cf, idx, fp)
+        if bucket_insert(idx, fp):
+            return True
+    return False
+
+
+def lookup(cf, key):
+    fp, i1 = fingerprint(cf, key), index(cf, key)
+    b = cf.bucket_size
+    i2 = alt_index(cf, i1, fp)
+    return fp in cf._slots[i1 * b : i1 * b + b] or fp in cf._slots[i2 * b : i2 * b + b]
 
 
 def encode(log_buckets, bucket_size, fingerprint_bits, seed, slots) -> bytes:

@@ -321,6 +321,13 @@ def test_nan_is_out_of_range(key):
     assert str(err.value).startswith("line 4:")
 
 
+@pytest.mark.parametrize("key", ["latency", "bandwidth", "packet_loss", "cpu_server", "cpu_client"])
+def test_infinite_link_value_is_out_of_range(key):
+    # ``latency=inf`` parsed, and the run reported an infinite communication time
+    with pytest.raises(ConfigError, match=rf"^line 4: {key} must lie in .*, got inf$"):
+        parse_config(f"protocol=CPI\nset_size=10\ndiff_count=0\n{key}=inf\n")
+
+
 @pytest.mark.parametrize("key,value", [("mbar", "0"), ("num_hashes", "300"), ("hedge", "inf"), ("max_kicks", "65536")])
 def test_bad_override_is_reported_on_its_line(key, value):
     with pytest.raises(ConfigError) as err:

@@ -3,9 +3,11 @@ import random
 
 import pytest
 
+from gensync.cpi import make_sketch
 from gensync.cuckoo import build_filter
 from gensync.hashing import BLOCK, MASK64, blocks, keyed_hash, keyed_hashes
 from gensync.iblt import build_table
+from gensync.session import _encode_lists
 
 EDGE_KEYS = [0, 1, 2**63, MASK64]
 
@@ -41,9 +43,13 @@ def test_blocks_cover_the_input_in_order():
 
 
 def test_sketch_bytes_are_pinned():
-    # digests of the unbatched per-key builds; any change to cells,
-    # fingerprints or their placement changes them
+    # digests of the per-key builds and per-value codecs; any change to
+    # cells, fingerprints, their placement or a codec's layout changes them
     table = build_table(range(20_000), 150, 6, 0x5EED).to_bytes()
     cuckoo = build_filter(range(20_000), 0x5EED).to_bytes()
+    cpi = make_sketch(range(20_000), 64, 8).to_bytes()
+    diffs = _encode_lists(set(range(0, 2**64, 2**54)), [5, MASK64, 0], [])
     assert hashlib.sha256(table).hexdigest() == "94223d8dcbb7139c0649937fe3449b65983403a668082ff553961dfe39b1395a"
     assert hashlib.sha256(cuckoo).hexdigest() == "097ea56057756b0760efacdccc25e07c36adb19b412497ab2721b3d0730b2eea"
+    assert hashlib.sha256(cpi).hexdigest() == "698674d6d7add7043557dada99dc261d00ec44148dfed7378f138a64542cff0f"
+    assert hashlib.sha256(diffs).hexdigest() == "9e378b0ab3ff5fe451333ec73d446807b3f6b42f0129dc8ab52fa777d4768db8"

@@ -1,5 +1,7 @@
+import math
 import random
 import threading
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -144,6 +146,14 @@ def test_channel_params_validation():
         ChannelParams(bandwidth_up_mbps=0)
     with pytest.raises(ValueError):
         ChannelParams(cpu_client=0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", [f.name for f in fields(ChannelParams)])
+def test_channel_params_refuse_values_that_are_not_finite(name, value):
+    # a NaN or infinite link made session_time return NaN or inf
+    with pytest.raises(ValueError, match=f"{name} must lie in"):
+        ChannelParams(**{name: value})
 
 
 def test_tcp_frames_and_ledger_match_memory_channel():
