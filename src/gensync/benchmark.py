@@ -14,51 +14,45 @@ import random
 import statistics
 import threading
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
 
 from .core import Builder
 from .errors import ConfigError, ParameterError
 from .hashing import MASK64
-from .params import Observation, ProtocolId, ProtocolParams
-from .transport import LINK_RANGES, ChannelParams, in_range, memory_channel_pair
+from .params import Observation, ProtocolId, ProtocolParams, read
+from .transport import ChannelParams, memory_channel_pair
 
 # network presets derived from the good/bad edge-network conditions
 GOOD_NETWORK = ChannelParams(latency_ms=30, bandwidth_up_mbps=7, bandwidth_down_mbps=7)
 BAD_NETWORK = ChannelParams(latency_ms=50, bandwidth_up_mbps=1, bandwidth_down_mbps=1)
 
 
-def _link(name: str):
-    """The test and interval of a link field, from ChannelParams' table."""
-    return partial(in_range, interval=LINK_RANGES[name]), LINK_RANGES[name]
-
-
-# Each script key, in to_script's order: the BenchConfig fields it sets, its
-# type, and the values it accepts as a test and in interval notation.
+# Each script key, in to_script's order, and the BenchConfig fields it sets;
+# a field's type and accepted values are those of params.SETTINGS
 _SCRIPT_KEYS = {
-    "protocol": (("protocol",), ProtocolId, None, "CPI, IBLT or CUCKOO"),
-    "latency": (("latency_ms",), float, *_link("latency_ms")),
-    "bandwidth": (("bandwidth_up_mbps", "bandwidth_down_mbps"), float, *_link("bandwidth_up_mbps")),
-    "packet_loss": (("packet_loss",), float, *_link("packet_loss")),
-    "cpu_server": (("cpu_server",), float, *_link("cpu_server")),
-    "cpu_client": (("cpu_client",), float, *_link("cpu_client")),
-    "repeat": (("repeat",), int, lambda v: v >= 1, "[1, inf)"),
-    "set_size": (("set_size",), int, lambda v: v >= 0, "[0, inf)"),
-    "diff_count": (("diff_count",), int, lambda v: v >= 0, "[0, inf)"),
-    "split": (("split",), float, lambda v: 0 <= v <= 1, "[0, 1]"),
-    "seed": (("rng_seed",), int, lambda v: 0 <= v <= MASK64, "[0, 2^64)"),
+    "protocol": ("protocol",),
+    "latency": ("latency_ms",),
+    "bandwidth": ("bandwidth_up_mbps", "bandwidth_down_mbps"),
+    "packet_loss": ("packet_loss",),
+    "cpu_server": ("cpu_server",),
+    "cpu_client": ("cpu_client",),
+    "repeat": ("repeat",),
+    "set_size": ("set_size",),
+    "diff_count": ("diff_count",),
+    "split": ("split",),
+    "seed": ("rng_seed",),
 }
 
-# Protocol-parameter override key, in scripts and sync flags -> (ProtocolParams field, type)
+# Protocol-parameter override key, in scripts and sync flags -> ProtocolParams field
 OVERRIDE_KEYS = {
-    "mbar": ("cpi_mbar", int),
-    "verification_points": ("cpi_verification_points", int),
-    "retries": ("cpi_retry_limit", int),
-    "expected_diffs": ("iblt_expected_diffs", int),
-    "hedge": ("iblt_hedge", float),
-    "num_hashes": ("iblt_num_hashes", int),
-    "fingerprint_bits": ("cuckoo_fingerprint_bits", int),
-    "bucket_size": ("cuckoo_bucket_size", int),
-    "max_kicks": ("cuckoo_max_kicks", int),
+    "mbar": "cpi_mbar",
+    "verification_points": "cpi_verification_points",
+    "retries": "cpi_retry_limit",
+    "expected_diffs": "iblt_expected_diffs",
+    "hedge": "iblt_hedge",
+    "num_hashes": "iblt_num_hashes",
+    "fingerprint_bits": "cuckoo_fingerprint_bits",
+    "bucket_size": "cuckoo_bucket_size",
+    "max_kicks": "cuckoo_max_kicks",
 }
 
 _REQUIRED = ("protocol", "set_size", "diff_count")
@@ -85,18 +79,14 @@ class BenchConfig:
 
     def protocol_params(self) -> ProtocolParams:
         """Provision bounds to the workload's difference count by default."""
-        values = {
-            "cpi_mbar": max(1, self.diff_count),
-            "iblt_expected_diffs": max(1, self.diff_count),
-        }
-        for key, (attr, cast) in OVERRIDE_KEYS.items():
-            if key in self.overrides:
-                values[attr] = cast(self.overrides[key])
-        return ProtocolParams(**values).validate()
+        bound = max(1, self.diff_count)
+        values = {"cpi_mbar": bound, "iblt_expected_diffs": bound}
+        values.update((OVERRIDE_KEYS[key], value) for key, value in self.overrides.items())
+        return ProtocolParams(**values)
 
     def to_script(self) -> str:
         lines = []
-        for key, (names, *_) in _SCRIPT_KEYS.items():
+        for key, names in _SCRIPT_KEYS.items():
             text = "/".join(str(getattr(self, name)) for name in names)
             lines.append(f'{key}="{text}"' if len(names) > 1 else f"{key}={text}")
         for key in sorted(self.overrides):
@@ -104,18 +94,9 @@ class BenchConfig:
         return "\n".join(lines) + "\n"
 
 
-def _parse_number(raw, cast, key):
-    try:
-        return cast(raw)
-    except ValueError:
-        raise ConfigError(f"{key} expects a {cast.__name__}, got {raw!r}") from None
-
-
 def _parse_value(key, raw) -> dict:
     """The BenchConfig fields that one script key sets; raises ConfigError."""
-    names, cast, accepts, accepted = _SCRIPT_KEYS[key]
-    if key == "protocol":
-        return {"protocol": ProtocolId.parse(raw)}
+    names = _SCRIPT_KEYS[key]
     parts = [raw]
     if key == "bandwidth":  # "UP/DOWN" or one value for both, optionally quoted
         text = raw.strip()
@@ -126,13 +107,7 @@ def _parse_value(key, raw) -> dict:
             raise ConfigError(f"bandwidth expects 'UP/DOWN' or a single value, got {raw!r}")
         if len(parts) == 1:
             parts *= 2
-    values = {}
-    for name, part in zip(names, parts):
-        v = _parse_number(part, cast, key)
-        if not accepts(v):
-            raise ConfigError(f"{key} must lie in {accepted}, got {v}")
-        values[name] = v
-    return values
+    return {name: read(name, part, key) for name, part in zip(names, parts)}
 
 
 def parse_config(text: str) -> BenchConfig:
@@ -160,9 +135,7 @@ def parse_config(text: str) -> BenchConfig:
             if key in _SCRIPT_KEYS:
                 cfg_fields.update(_parse_value(key, raw))
             elif key in OVERRIDE_KEYS:
-                name, cast = OVERRIDE_KEYS[key]
-                overrides[key] = _parse_number(raw, cast, key)
-                ProtocolParams(**{name: overrides[key]}).validate()
+                overrides[key] = read(OVERRIDE_KEYS[key], raw, key)
             else:
                 raise ConfigError(f"unknown key {key!r}")
         except ConfigError as exc:

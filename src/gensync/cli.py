@@ -18,7 +18,7 @@ from .benchmark import OVERRIDE_KEYS, emit_csv, parse_config, run_benchmark
 from .core import Builder
 from .errors import ConfigError, GenSyncError, TransportError
 from .hashing import MASK64
-from .params import ProtocolParams, SyncRole
+from .params import ProtocolParams, SyncRole, read
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -33,15 +33,7 @@ def _error(code: str, message: str) -> None:
 
 def _env_seed():
     raw = os.environ.get("GENSYNC_SEED")
-    if raw is None:
-        return None
-    try:
-        seed = int(raw)
-    except ValueError:
-        raise ConfigError(f"GENSYNC_SEED must be an integer, got {raw!r}") from None
-    if not 0 <= seed <= MASK64:
-        raise ConfigError("GENSYNC_SEED must fit in 64 bits")
-    return seed
+    return None if raw is None else read("rng_seed", raw, "GENSYNC_SEED")
 
 
 def cmd_bench(args) -> int:
@@ -97,10 +89,7 @@ def _split_address(addr: str):
     host, sep, port = addr.rpartition(":")
     if not sep:
         raise ConfigError(f"address must be host:port, got {addr!r}")
-    try:
-        return host, int(port)
-    except ValueError:
-        raise ConfigError(f"port must be an integer, got {port!r}") from None
+    return host, read("port", port)
 
 
 def cmd_sync(args) -> int:
@@ -109,13 +98,13 @@ def cmd_sync(args) -> int:
         elements = _read_elements(args.input)
         overrides = {
             attr: getattr(args, key)
-            for key, (attr, _) in OVERRIDE_KEYS.items()
+            for key, attr in OVERRIDE_KEYS.items()
             if getattr(args, key, None) is not None
         }
         seed = _env_seed()
         if seed is not None:
             overrides["rng_seed"] = seed
-        params = ProtocolParams(**overrides).validate()
+        params = ProtocolParams(**overrides)
         role = SyncRole.parse(args.role)
         gs = (
             Builder()

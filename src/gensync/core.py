@@ -17,7 +17,7 @@ from . import cpi, cuckoo, iblt
 from .errors import ConfigError, StateError
 from .field import MODULUS
 from .hashing import MASK64
-from .params import Observation, ProtocolId, ProtocolParams, SyncRole
+from .params import Observation, ProtocolId, ProtocolParams, SyncRole, check
 from .session import run_client, run_server
 from .transport import (
     MemoryEndpoint,
@@ -58,21 +58,15 @@ class Builder:
         elif key == "host":
             self._host = str(value)
         elif key == "port":
-            try:
-                port = int(value)
-            except (TypeError, ValueError):
-                raise ConfigError(f"port must be an integer, got {value!r}") from None
-            if not 0 <= port <= 65535:
-                raise ConfigError(f"port {port} out of range")
-            self._port = port
+            self._port = check("port", value)
         elif key == "role":
             self._role = SyncRole.parse(value)
         elif key == "protocol-params":
             if isinstance(value, ProtocolParams):
-                self._params = value.validate()
+                self._params = value
             elif isinstance(value, dict):
                 try:
-                    self._params = ProtocolParams(**value).validate()
+                    self._params = ProtocolParams(**value)
                 except TypeError as exc:
                     raise ConfigError(f"bad protocol parameter: {exc}") from None
             else:

@@ -50,11 +50,11 @@ _KEPT_MASK = (1 << _KEPT_BITS) - 1
 _CHUNK = 4096
 
 
-def geometry_for(n: int, bucket_size: int = 4, target_load: float = 0.8) -> int:
-    """Bucket-count exponent targeting the requested load for n elements."""
+def geometry_for(n: int, bucket_size: int = 4) -> int:
+    """Bucket-count exponent that loads a filter of n elements to at most 80%."""
     if n <= 0:
         return 1
-    return max(1, math.ceil(math.log2(n / (bucket_size * target_load))))
+    return max(1, math.ceil(math.log2(n / (bucket_size * 0.8))))
 
 
 @lru_cache(maxsize=4)

@@ -5,8 +5,8 @@ class GenSyncError(Exception):
     """Base class for all library errors."""
 
 
-class ConfigError(GenSyncError):
-    """Invalid builder setting or benchmark configuration.
+class ConfigError(GenSyncError, ValueError):
+    """Invalid builder setting, parameter record or benchmark configuration.
 
     For configuration scripts, ``line`` carries the 1-based line number.
     """

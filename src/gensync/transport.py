@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass, fields
 
 from .errors import ProtocolError, TransportError
-from .params import SyncRole
+from .params import SyncRole, check
 
 HANDSHAKE = 1
 SKETCH = 2
@@ -40,6 +40,9 @@ FRAME_HEADER = struct.Struct(">BI")
 FRAME_OVERHEAD = FRAME_HEADER.size  # 5 bytes
 
 WIRE_VERSION = 1
+
+# seconds an endpoint waits for its peer to connect or to send a frame
+PEER_TIMEOUT = 60.0
 
 UP = "up"  # client -> server
 DOWN = "down"  # server -> client
@@ -69,27 +72,6 @@ def decode_header(header: bytes):
 # emulated link model
 
 
-# Each link field's accepted values in interval notation: a square bracket
-# takes its end in, a round one leaves it out, so NaN and the infinities
-# lie in none of them.
-LINK_RANGES = {
-    "latency_ms": "[0, inf)",
-    "bandwidth_up_mbps": "(0, inf)",
-    "bandwidth_down_mbps": "(0, inf)",
-    "packet_loss": "[0, 1)",
-    "cpu_server": "(0, 100]",
-    "cpu_client": "(0, 100]",
-}
-
-
-def in_range(value: float, interval: str) -> bool:
-    """Whether ``value`` lies in ``interval``, written as in LINK_RANGES."""
-    low, high = (float(end) for end in interval[1:-1].split(","))
-    above = low <= value if interval[0] == "[" else low < value
-    below = value <= high if interval[-1] == "]" else value < high
-    return above and below
-
-
 @dataclass(frozen=True)
 class ChannelParams:
     """Emulated link: one-way latency, asymmetric bandwidth, loss and CPU."""
@@ -103,9 +85,7 @@ class ChannelParams:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if not in_range(value, LINK_RANGES[f.name]):
-                raise ValueError(f"{f.name} must lie in {LINK_RANGES[f.name]}, got {value}")
+            check(f.name, getattr(self, f.name))
 
 
 def _transfer_ms(params: ChannelParams, direction: str, nbytes: int) -> float:
@@ -174,7 +154,7 @@ class MemoryEndpoint:
     count the same turns whichever starts first.
     """
 
-    def __init__(self, outbox, inbox, direction, params, timeout=60.0):
+    def __init__(self, outbox, inbox, direction, params, timeout):
         self._outbox = outbox
         self._inbox = inbox
         self.direction = direction  # direction of frames this endpoint sends
@@ -225,7 +205,7 @@ class MemoryEndpoint:
         self._last = None
 
 
-def memory_channel_pair(params: ChannelParams | None = None, timeout: float = 60.0):
+def memory_channel_pair(params: ChannelParams | None = None, timeout: float = PEER_TIMEOUT):
     """A connected (client_endpoint, server_endpoint) pair in one process."""
     params = params or ChannelParams()
     up_q: queue.Queue = queue.Queue()
@@ -284,16 +264,12 @@ class TcpEndpoint:
         self._sock.close()
 
 
-def tcp_connect(host: str, port: int, timeout: float = 10.0, retry_window: float = 2.0) -> TcpEndpoint:
-    """Connect to a listening peer, retrying brief refusals.
-
-    A freshly started server may not have bound yet; refused connections
-    are retried until ``retry_window`` elapses.
-    """
-    deadline = time.monotonic() + retry_window
+def tcp_connect(host: str, port: int) -> TcpEndpoint:
+    """Connect to a listening peer, retrying refusals for 2 s while a fresh one binds."""
+    deadline = time.monotonic() + 2.0
     while True:
         try:
-            sock = socket.create_connection((host, port), timeout=timeout)
+            sock = socket.create_connection((host, port), timeout=10.0)
             break
         except ConnectionRefusedError as exc:
             if time.monotonic() >= deadline:
@@ -301,7 +277,7 @@ def tcp_connect(host: str, port: int, timeout: float = 10.0, retry_window: float
             time.sleep(0.05)
         except OSError as exc:
             raise TransportError(f"cannot connect to {host}:{port}: {exc}") from exc
-    sock.settimeout(timeout * 6)
+    sock.settimeout(PEER_TIMEOUT)
     return TcpEndpoint(sock, is_client=True)
 
 
@@ -321,13 +297,13 @@ class TcpListener:
     def port(self) -> int:
         return self._sock.getsockname()[1]
 
-    def accept(self, timeout: float = 60.0) -> TcpEndpoint:
-        self._sock.settimeout(timeout)
+    def accept(self) -> TcpEndpoint:
+        self._sock.settimeout(PEER_TIMEOUT)
         try:
             conn, _ = self._sock.accept()
         except OSError as exc:
             raise TransportError(f"accept failed: {exc}") from exc
-        conn.settimeout(timeout)
+        conn.settimeout(PEER_TIMEOUT)
         return TcpEndpoint(conn, is_client=False)
 
     def close(self):

@@ -1,11 +1,17 @@
+import ast
+import inspect
 import io
 import statistics
+from dataclasses import fields
 
 import pytest
 
+from gensync import params
 from gensync.benchmark import (
+    _SCRIPT_KEYS,
     BAD_NETWORK,
     GOOD_NETWORK,
+    OVERRIDE_KEYS,
     BenchConfig,
     emit_csv,
     generate_workload,
@@ -13,7 +19,8 @@ from gensync.benchmark import (
     run_benchmark,
 )
 from gensync.errors import ConfigError, ParameterError
-from gensync.params import ProtocolId
+from gensync.params import ProtocolId, ProtocolParams
+from gensync.transport import ChannelParams
 
 LISTING_CONFIG = """\
 # Protocol identifier
@@ -341,3 +348,17 @@ def test_bound_provisioned_beyond_the_record_is_reported_on_diff_count():
         parse_config(f"protocol=CPI\nset_size={2**33}\ndiff_count={2**32}\n")
     assert str(err.value).startswith("line 3:")
 
+
+def test_every_setting_is_in_the_table_exactly_once():
+    module = ast.parse(inspect.getsource(params))
+    (table,) = (
+        node.value
+        for node in module.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["SETTINGS"]
+    )
+    names = [key.value for key in table.keys]
+    assert len(names) == len(set(names))
+    targets = {f.name for record in (ProtocolParams, ChannelParams) for f in fields(record)}
+    targets |= {name for names in _SCRIPT_KEYS.values() for name in names}
+    targets |= set(OVERRIDE_KEYS.values()) | {"port"}  # and the Builder's
+    assert set(names) == targets

@@ -107,6 +107,12 @@ def test_builder_requires_host_port_for_tcp():
         ).build()
 
 
+@pytest.mark.parametrize("port", [-1, 65536, "9431", 9431.0, True])
+def test_builder_refuses_a_port_that_is_not_a_16_bit_integer(port):
+    with pytest.raises(ConfigError, match="^port "):
+        Builder().set("port", port)
+
+
 def test_builder_tcp_server_not_yet_connected():
     gs = (
         Builder()
@@ -669,15 +675,64 @@ RECORD_LIMITS = {
 def test_params_the_record_cannot_carry_are_rejected(name):
     limit = RECORD_LIMITS[name]
     with pytest.raises(ConfigError):
-        ProtocolParams(**{name: limit}).validate()
-    params = ProtocolParams(**{name: limit - 1}).validate()
+        ProtocolParams(**{name: limit})
+    params = ProtocolParams(**{name: limit - 1})
     assert ProtocolParams.from_bytes(params.to_bytes()) == params
 
 
 @pytest.mark.parametrize("hedge", [float("inf"), float("nan")])
 def test_hedge_must_be_finite(hedge):
     with pytest.raises(ConfigError):
-        ProtocolParams(iblt_hedge=hedge).validate()
+        ProtocolParams(iblt_hedge=hedge)
+
+
+def test_builder_refuses_a_fractional_bound():
+    # it was accepted, and sync_begin then raised struct.error out of the
+    # client while the server waited out its whole timeout
+    with pytest.raises(ConfigError, match="iblt_expected_diffs expects an integer, got 10.5"):
+        Builder().set("protocol-params", {"iblt_expected_diffs": 10.5})
+
+
+def test_a_record_out_of_range_cannot_be_built():
+    # GenSync took it, and sync_begin then raised ValueError out of the
+    # client while the server waited out its whole timeout
+    with pytest.raises(ConfigError, match=r"^cpi_mbar must lie in \[1, 2\^32\), got 0$"):
+        ProtocolParams(cpi_mbar=0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: ChannelParams(latency_ms="5"), lambda: ProtocolParams(cpi_mbar="64")],
+    ids=["channel", "protocol"],
+)
+def test_a_setting_of_another_type_is_a_config_error(make):
+    # the link raised a bare TypeError from a comparison, and the record
+    # was built
+    with pytest.raises(ConfigError, match="expects"):
+        make()
+
+
+@pytest.mark.parametrize("side", ["client", "server"])
+def test_a_peer_record_out_of_range_aborts_at_once_as_malformed(side):
+    # cpi_retry_limit=9 fits its byte but lies outside [0, 3]; the peer
+    # answered it as a mere parameter mismatch (R_HANDSHAKE)
+    hello = bytearray(handshake_payload(ProtocolId.CPI, ProtocolParams()))
+    hello[1 + 4 + 2] = 9  # after the protocol id, cpi_mbar and cpi_verification_points
+    client_end, server_end = memory_channel_pair(timeout=5)
+    real, fake = (client_end, server_end) if side == "client" else (server_end, client_end)
+    peer = Builder().set("protocol", "CPI").set("communicant", real).build()
+    fill(peer, range(1, 51))
+    t, result = start(peer)
+    if side == "client":
+        assert fake.recv_frame().kind == HANDSHAKE
+    began = time.perf_counter()
+    fake.send_frame(Frame(HANDSHAKE, bytes(hello)))
+    reply = fake.recv_frame()
+    assert time.perf_counter() - began < 1
+    assert (reply.kind, reply.payload[:1]) == (ABORT, bytes([R_PROTOCOL]))
+    assert b"cpi_retry_limit must lie in [0, 3], got 9" in reply.payload
+    t.join(timeout=5)
+    assert result == {"ok": False}
 
 
 # -- the cached sketch ---------------------------------------------------------

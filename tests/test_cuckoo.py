@@ -254,8 +254,8 @@ def test_round_trip_restores_slots_and_occupancy(bucket_size):
     rng = random.Random(bucket_size)
     for fingerprint_bits in range(4, 33):
         keys = distinct_u64(rng, 300)
-        # at most 30% load: buckets of one fill up long before 80%
-        cf = CuckooFilter(geometry_for(1_000, bucket_size, 1.0), bucket_size, fingerprint_bits, seed=fingerprint_bits)
+        # at most 15% load: buckets of one fill up long before 80%
+        cf = CuckooFilter(geometry_for(1_000, bucket_size), bucket_size, fingerprint_bits, seed=fingerprint_bits)
         assert all(reference_cuckoo.insert(cf, k) for k in keys)
         back = CuckooFilter.from_bytes(cf.to_bytes())
         assert back._slots == cf._slots

@@ -162,7 +162,7 @@ def test_tcp_frames_and_ledger_match_memory_channel():
     received = []
 
     def serve():
-        ep = listener.accept(timeout=10)
+        ep = listener.accept()
         for _ in frames:
             received.append(ep.recv_frame())
         ep.send_frame(Frame(ACK, b"done"))
