@@ -28,7 +28,7 @@ from array import array
 from functools import lru_cache
 
 from .errors import FilterFullError, IncompatibleSketchError, ProtocolError
-from .hashing import MASK64, blocks, derive_seed, keyed_hashes
+from .hashing import MASK64, blocks, derive_seed, keyed_hashes, packed_hashes, unpack
 
 # Not called here: perfbench counts per-key hash calls by wrapping this
 # module's ``keyed_hash``, so the name stays bound for it to wrap.
@@ -229,8 +229,9 @@ def build_filter(
     cf = CuckooFilter(geometry_for(len(elements), bucket_size), bucket_size, fingerprint_bits, seed)
     fps, kept = array("I"), array("I")
     for block in blocks(elements):
-        fps.extend([h & cf._fp_mask or 1 for h in keyed_hashes(cf._fp_seed, block)])
-        kept.extend([h & _KEPT_MASK for h in keyed_hashes(cf._idx_seed, block)])
+        fp_hashes, idx_hashes = packed_hashes(block, [cf._fp_seed, cf._idx_seed])
+        fps.extend([h & cf._fp_mask or 1 for h in unpack(fp_hashes, len(block))])
+        kept.extend([h & _KEPT_MASK for h in unpack(idx_hashes, len(block))])
     cf._kept = elements, fps, kept
     cf._cache_alt_offsets(fps)
     place, mask = cf._place, cf._index_mask

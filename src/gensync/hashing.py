@@ -4,9 +4,12 @@ The mixer is the splitmix64 finalizer. It is fixed and documented so that
 serialized sketches stay portable: two peers that agree on a seed derive
 identical cell indices, check hashes and fingerprints.
 
-``keyed_hashes`` runs the same mixer over a block of keys at once: each
+``packed_hashes`` runs the same mixer over a block of keys at once: each
 key sits in its own 128-bit slot of one integer, so each step of the
 mixer is a handful of big-integer operations instead of a Python loop.
+The block is packed once and mixed under each seed a sketch needs, and
+``digits`` reads cell indices out of the packed hashes without unpacking
+them first.
 """
 
 import sys
@@ -57,32 +60,61 @@ def _layout(n: int) -> tuple[int, int]:
     return low, low // MASK64
 
 
-def keyed_hashes(seed: int, keys) -> list[int]:
-    """``[keyed_hash(seed, k) for k in keys]`` for a sequence of keys, slot-wise.
+def packed_hashes(keys, seeds) -> list[int]:
+    """The keys packed once and hashed under each seed, still packed.
 
-    Each key takes a 128-bit slot, its value in the low 64 bits. A 64-bit
-    value times a 64-bit constant fits its slot, so no product carries
-    into the next one. The right shifts before a product are masked to
-    the low 64 bits of each slot, so that no bits come down from the slot
-    above; the last one needs no mask, since what it brings down lands
-    above bit 64 and unpacking drops it.
+    For each seed, one integer whose 128-bit slot i holds
+    ``keyed_hash(seed, keys[i])`` in its low 64 bits and zeros above.
+    ``keys`` is any sequence of ints; ``unpack`` reads the hashes back.
+
+    A 64-bit value times a 64-bit constant fits its slot, so no product
+    carries into the next one. Each right shift is masked to the low 64
+    bits of each slot, so that no bits come down from the slot above.
     """
     try:
         words = _words(keys)
     except OverflowError:
         words = _words([k & MASK64 for k in keys])
     n = len(words)
-    if not n:
-        return []
     slots = array("Q", bytes(16 * n))
     slots[::2] = words
+    packed = int.from_bytes(slots, "little")
     low, ones = _layout(n)
-    x = int.from_bytes(slots, "little") ^ (seed & MASK64) * ones
-    x = ((x ^ ((x >> 30) & low)) * _MIX1) & low
-    x = ((x ^ ((x >> 27) & low)) * _MIX2) & low
-    x ^= x >> 31
-    out = _words(x.to_bytes(16 * n, "little"))
-    return out[::2].tolist()
+    out = []
+    for seed in seeds:
+        x = packed ^ (seed & MASK64) * ones
+        x = ((x ^ ((x >> 30) & low)) * _MIX1) & low
+        x = ((x ^ ((x >> 27) & low)) * _MIX2) & low
+        out.append(x ^ ((x >> 31) & low))
+    return out
+
+
+def unpack(x: int, n: int) -> list[int]:
+    """The low 64 bits of each of the n 128-bit slots of ``x``."""
+    return _words(x.to_bytes(16 * n, "little"))[::2].tolist()
+
+
+def digits(h: int, n: int, base: int, offsets):
+    """Successive base-``base`` digits of ``h / 2^64`` in each slot of packed hashes.
+
+    Yields one list per offset, most significant digit first, each digit
+    plus the offset. The digit is the slot's high half after ``h *= base``;
+    the low half carries on to the next digit. Each slot's 64-bit value
+    times ``base`` fits its slot, as does a digit plus an offset below
+    2^64.
+    """
+    low, ones = _layout(n)
+    high_ones = ones << 64
+    for offset in offsets:
+        h *= base
+        yield _words((h + offset * high_ones).to_bytes(16 * n, "little"))[1::2].tolist()
+        h &= low
+
+
+def keyed_hashes(seed: int, keys) -> list[int]:
+    """``[keyed_hash(seed, k) for k in keys]`` for a sequence of keys, slot-wise."""
+    (x,) = packed_hashes(keys, [seed])
+    return unpack(x, len(keys))
 
 
 def blocks(elements):

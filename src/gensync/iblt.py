@@ -3,8 +3,18 @@
 Each cell carries a signed count and one word, the XOR over its keys of
 ``key << 64 | check``, where ``check`` is a 64-bit check hash of the key:
 the word's high half is the cell's key sum and its low half the check-hash
-sum. Hashing is partitioned: hash j maps a key into partition j of
-``m/k`` cells, guaranteeing k distinct cells per key.
+sum. The table is partitioned into k rows of ``part = m/k`` cells, and a
+key takes one cell in each row, so it has k distinct cells.
+
+A key's cells come from one 64-bit index hash h: row j takes the j-th
+base-``part`` digit of ``h / 2^64``, found by ``h *= part``, the digit
+``h >> 64``, and h keeping its low 64 bits for the next row. One index
+hash serves the largest number of rows r with ``part^r <= 2^40``, so each
+tuple of cells is uniform to within a relative 2^-24; a table that needs
+more rows draws a further index hash for each further r rows. A key then
+costs a check hash and one index hash per r rows, not one hash per row.
+Two keys share all k cells with probability ``part^-k``, as with k
+independent hashes.
 """
 
 from __future__ import annotations
@@ -15,7 +25,7 @@ from collections import Counter
 from itertools import chain
 
 from .errors import IncompatibleSketchError, PeelError, ProtocolError
-from .hashing import MASK64, blocks, derive_seed, keyed_hash, keyed_hashes
+from .hashing import MASK64, blocks, derive_seed, digits, keyed_hash, packed_hashes, unpack
 
 # a cell on the wire: count, key sum, check-hash sum
 _CELL = "iQQ"
@@ -23,6 +33,10 @@ _CELL_SIZE = struct.calcsize(">" + _CELL)
 _HEADER = struct.Struct(">IBQ")
 
 _CHECK_INDEX = 0xC0
+
+# One index hash serves r rows while part^r <= 2^40: each r-tuple of cells
+# then takes 2^64 / part^r >= 2^24 of its values, uniform to one in 2^24.
+_INDEX_RANGE = 1 << 40
 
 # Two keys that share all k cells never peel. With c cells a partition two
 # keys do so one time in c^k: every time with one cell, one time in 256
@@ -53,8 +67,15 @@ class Iblt:
         self.seed = seed & MASK64
         self.counts = [0] * num_cells
         self.words = [0] * num_cells
-        self._partition = num_cells // num_hashes
-        self._row_seeds = [derive_seed(self.seed, j) for j in range(num_hashes)]
+        part = self._partition = num_cells // num_hashes
+        rows = 1
+        while rows < num_hashes and part ** (rows + 1) <= _INDEX_RANGE:
+            rows += 1
+        # index hash i gives the cells of rows i*rows to i*rows + rows - 1,
+        # each as the row's first cell plus a digit
+        firsts = range(0, num_cells, part)
+        self._row_firsts = [firsts[j : j + rows] for j in range(0, num_hashes, rows)]
+        self._index_seeds = [derive_seed(self.seed, i) for i in range(len(self._row_firsts))]
         self._check_seed = derive_seed(self.seed, _CHECK_INDEX)
 
     def subtract(self, other: Iblt) -> Iblt:
@@ -75,7 +96,10 @@ class Iblt:
 
         Positive keys come from the minuend's side, negative from the
         subtrahend's. Raises PeelError when no pure cell remains but the
-        table is nonempty (undersized table or a check-hash collision).
+        table is nonempty (undersized table or a check-hash collision), and
+        when a key turns up pure a second time: a difference holds each key
+        once, and a peer's table can be crafted so that peeling a key puts
+        it back, which would loop for ever.
         """
         counts = list(self.counts)
         words = list(self.words)
@@ -93,16 +117,22 @@ class Iblt:
             key = word >> 64
             if word & MASK64 != keyed_hash(self._check_seed, key):
                 continue  # impure cell that merely looks pure
+            if key in positive or key in negative:
+                raise PeelError(f"key {key} turned up pure a second time")
             if sign == 1:
                 positive.add(key)
             else:
                 negative.add(key)
-            for j, row_seed in enumerate(self._row_seeds):
-                cell = j * part + keyed_hash(row_seed, key) % part
-                counts[cell] -= sign
-                words[cell] ^= word
-                if counts[cell] in (-1, 1):
-                    queue.append(cell)
+            for seed, firsts in zip(self._index_seeds, self._row_firsts):
+                h = keyed_hash(seed, key)
+                for first in firsts:
+                    h *= part
+                    cell = first + (h >> 64)
+                    h &= MASK64
+                    counts[cell] -= sign
+                    words[cell] ^= word
+                    if counts[cell] in (-1, 1):
+                        queue.append(cell)
 
         if any(counts) or any(words):
             raise PeelError("no pure cell remains but the table is nonempty")
@@ -131,19 +161,24 @@ class Iblt:
 
 
 def build_table(elements, num_cells: int, num_hashes: int, seed: int) -> Iblt:
-    """The table with every element inserted, hashed a block at a time."""
+    """The table with every element inserted, hashed a block at a time.
+
+    Each block is packed once and hashed under the check seed and each
+    index seed; each row's cells are then one packed step of ``digits``.
+    """
     table = Iblt(num_cells, num_hashes, seed)
     part = table._partition
     counts = Counter()
     words = table.words
     for block in blocks(elements):
-        tagged = [key << 64 | chk for key, chk in zip(block, keyed_hashes(table._check_seed, block))]
-        for j, row_seed in enumerate(table._row_seeds):
-            base = j * part
-            col = [base + h % part for h in keyed_hashes(row_seed, block)]
-            counts.update(col)
-            for idx, word in zip(col, tagged):
-                words[idx] ^= word
+        n = len(block)
+        check, *index = packed_hashes(block, [table._check_seed, *table._index_seeds])
+        tagged = [key << 64 | chk for key, chk in zip(block, unpack(check, n))]
+        for h, firsts in zip(index, table._row_firsts):
+            for col in digits(h, n, part, firsts):
+                counts.update(col)
+                for idx, word in zip(col, tagged):
+                    words[idx] ^= word
     table.counts = [counts.get(i, 0) for i in range(num_cells)]
     return table
 

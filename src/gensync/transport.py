@@ -39,7 +39,7 @@ _KINDS = {HANDSHAKE, SKETCH, DIFFS, ACK, ABORT}
 FRAME_HEADER = struct.Struct(">BI")
 FRAME_OVERHEAD = FRAME_HEADER.size  # 5 bytes
 
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 
 # seconds an endpoint waits for its peer to connect or to send a frame
 PEER_TIMEOUT = 60.0

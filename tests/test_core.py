@@ -21,8 +21,8 @@ from gensync import cpi
 from gensync.cpi import CpiSketch, make_sketch, sample_point
 from gensync.cuckoo import CuckooFilter, build_filter
 from gensync.field import MODULUS
-from gensync.iblt import build_table, cell_count
-from gensync.session import R_PROTOCOL, handshake_payload, run_client, run_server
+from gensync.iblt import Iblt, build_table, cell_count
+from gensync.session import R_PROTOCOL, R_VERSION, handshake_payload, run_client, run_server
 from gensync.transport import ABORT, DIFFS, HANDSHAKE, SKETCH, Frame
 
 
@@ -733,6 +733,60 @@ def test_a_peer_record_out_of_range_aborts_at_once_as_malformed(side):
     assert b"cpi_retry_limit must lie in [0, 3], got 9" in reply.payload
     t.join(timeout=5)
     assert result == {"ok": False}
+
+
+@pytest.mark.parametrize("side", ["client", "server"])
+def test_a_peer_on_another_wire_version_is_refused(side):
+    params = ProtocolParams()
+    old_hello = handshake_payload(ProtocolId.IBLT, params)[:-2] + (1).to_bytes(2, "big")
+    client_end, server_end = memory_channel_pair(timeout=5)
+    real, old = (client_end, server_end) if side == "client" else (server_end, client_end)
+    peer = Builder().set("protocol", "IBLT").set("communicant", real).build()
+    fill(peer, range(1, 51))
+    t, result = start(peer)
+    if side == "client":
+        assert [old.recv_frame().kind for _ in range(2)] == [HANDSHAKE, SKETCH]
+    old.send_frame(Frame(HANDSHAKE, old_hello))
+    reply = old.recv_frame()
+    assert (reply.kind, reply.payload[:1]) == (ABORT, bytes([R_VERSION]))
+    assert reply.payload[1:] == b"wire version 1 != 2"
+    t.join(timeout=5)
+    assert result == {"ok": False}
+    assert peer.get_observation().failure_reason == "wire version mismatch"
+
+
+def test_a_table_that_puts_a_peeled_key_back_ends_both_sides():
+    # a server that knows the client's set sends the client's table minus
+    # one with a lone key in its first cell: the client's difference is
+    # that table, whose peel would put the key back for ever
+    params, elements = ProtocolParams(), set(range(1, 51))
+    k = params.iblt_num_hashes
+    m = cell_count(params.iblt_expected_diffs, params.iblt_hedge, k)
+    table = build_table(elements, m, k, params.rng_seed)
+    alone = build_table([2**40], m, k, params.rng_seed)
+    first = alone.counts.index(1)
+    looping = Iblt(m, k, params.rng_seed)
+    looping.counts[first], looping.words[first] = 1, alone.words[first]
+    crafted = table.subtract(looping)
+
+    client_end, server_end = memory_channel_pair(timeout=5)
+    outcomes = {}
+
+    def run(name, role, end, sketch):
+        outcomes[name] = role(end, ProtocolId.IBLT, params, elements, lambda: sketch)
+
+    threads = [
+        threading.Thread(target=run, args=("client", run_client, client_end, table), daemon=True),
+        threading.Thread(target=run, args=("server", run_server, server_end, crafted), daemon=True),
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+    assert not any(t.is_alive() for t in threads)
+    assert not outcomes["client"].success and not outcomes["server"].success
+    assert outcomes["client"].failure_reason.startswith("peel failed")
+    assert outcomes["server"].failure_reason.startswith("peer aborted (3)")
 
 
 # -- the cached sketch ---------------------------------------------------------

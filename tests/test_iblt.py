@@ -1,4 +1,5 @@
 import random
+import threading
 
 import pytest
 import reference_iblt
@@ -193,3 +194,42 @@ def test_build_table_counts_each_repeat_of_a_key():
         reference_iblt.insert(expected, k)
     assert state(build_table(keys, 16, 4, 2)) == state(expected)
     assert sum(expected.counts) == 4 * len(keys)
+
+
+@pytest.mark.parametrize("k, part", [(6, 1024), (4, 2**14), (5, 2**14)])
+def test_rows_past_one_index_hash(k, part):
+    # part^k > 2^40, so these rows take their cells from two or three index hashes
+    assert reference_iblt.rows_per_index_hash(part, k) < k
+    rng = random.Random(part + k)
+    keys = [0, MASK64] + [rng.getrandbits(64) for _ in range(BLOCK + 10)]
+    expected = Iblt(k * part, k, seed=part)
+    for key in keys:
+        reference_iblt.insert(expected, key)
+    assert state(build_table(keys, k * part, k, part)) == state(expected)
+
+    A, B, a_only, b_only = random_disjoint_sets(rng, 300, 20, 20)
+    diff = build_table(A, k * part, k, 21).subtract(build_table(B, k * part, k, 21))
+    assert diff.peel() == (a_only, b_only)
+
+
+def test_peel_ends_when_a_peeled_key_turns_up_again():
+    # the key's first cell holds it alone, and its other cells are empty:
+    # peeling it at +1 leaves them pure at -1, and peeling one of those
+    # puts the first cell back at +1
+    alone = build_table([77], 24, 4, 5)
+    first = alone.counts.index(1)
+    table = Iblt(24, 4, seed=5)
+    table.counts[first], table.words[first] = 1, alone.words[first]
+    outcome = []
+
+    def peel():
+        try:
+            outcome.append(table.peel())
+        except PeelError as exc:
+            outcome.append(exc)
+
+    t = threading.Thread(target=peel, daemon=True)
+    t.start()
+    t.join(timeout=10)
+    assert not t.is_alive()
+    assert isinstance(outcome[0], PeelError) and "second time" in str(outcome[0])
