@@ -18,7 +18,7 @@ from .benchmark import OVERRIDE_KEYS, emit_csv, parse_config, run_benchmark
 from .core import Builder
 from .errors import ConfigError, GenSyncError, TransportError
 from .hashing import MASK64
-from .params import ProtocolParams, SyncRole, read
+from .params import ProtocolId, ProtocolParams, SyncRole, read
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -172,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     sync = sub.add_parser("sync", help="run one TCP sync with a remote peer")
     sync.add_argument("--role", required=True, choices=("server", "client"))
     sync.add_argument("--addr", required=True, help="host:port to listen on or connect to")
-    sync.add_argument("--protocol", required=True, choices=("cpi", "iblt", "cuckoo"))
+    sync.add_argument("--protocol", required=True, choices=[p.name.lower() for p in ProtocolId])
     sync.add_argument("--mbar", type=int, help="CPI difference bound")
     sync.add_argument("--expected-diffs", type=int, help="IBLT provisioning")
     sync.add_argument("--fingerprint-bits", type=int, help="cuckoo fingerprint width")

@@ -13,12 +13,10 @@ at a cost that grows with the changes rather than with the set.
 
 from __future__ import annotations
 
-from . import cpi, cuckoo, iblt
 from .errors import ConfigError, StateError
-from .field import MODULUS
 from .hashing import MASK64
 from .params import Observation, ProtocolId, ProtocolParams, SyncRole, check
-from .session import run_client, run_server
+from .session import PROTOCOLS, run_client, run_server
 from .transport import (
     MemoryEndpoint,
     TcpListener,
@@ -113,9 +111,7 @@ class GenSync:
         self._listener = None
         self._elements: set[int] = set()
         self._observation: Observation | None = None
-        # CPI arithmetic lives in GF(2^61 - 1); larger identifiers are
-        # reduced at ingestion (collision odds are of order 2^-61)
-        self._modulus = MODULUS if protocol is ProtocolId.CPI else MASK64 + 1
+        self._modulus = PROTOCOLS[protocol].modulus
         # the sketch of the set at the last sync, and the adds and removes
         # since; the log stays None until a first sync caches a sketch
         self._sketch = None
@@ -189,31 +185,19 @@ class GenSync:
     def _local_sketch(self):
         """The sketch of the set that this peer sends; the session calls it.
 
-        A cuckoo filter is built from the whole set. A CPI or IBLT sketch
-        is updated from the cached one by the log; without a cached sketch,
-        with a log at least as long as the set, or when the update cannot
-        divide a removed element out, the update starts from the empty
-        set's sketch with every element added.
+        The sketch is built from the whole set, except that a protocol
+        that caches its sketch updates the cached one by the log, while
+        the log is shorter than the set and the update can divide each
+        removed element out.
         """
-        p = self.params
-        if self.protocol is ProtocolId.CUCKOO:
-            return cuckoo.build_filter(
-                self._elements, p.rng_seed, p.cuckoo_bucket_size, p.cuckoo_fingerprint_bits, p.cuckoo_max_kicks
-            )
-        if self.protocol is ProtocolId.CPI:
-            points = p.cpi_mbar + p.cpi_verification_points
-            empty = cpi.CpiSketch(p.cpi_mbar, p.cpi_verification_points, 0, [1] * points)
-            update = cpi.update_sketch
-        else:
-            cells = iblt.cell_count(p.iblt_expected_diffs, p.iblt_hedge, p.iblt_num_hashes)
-            empty = iblt.Iblt(cells, p.iblt_num_hashes, p.rng_seed)
-            update = iblt.update_table
+        protocol = PROTOCOLS[self.protocol]
         sketch = None
         if self._sketch is not None and len(self._added) + len(self._removed) < len(self._elements):
-            sketch = update(self._sketch, self._added, self._removed)
+            sketch = protocol.update(self._sketch, self._added, self._removed)
         if sketch is None:
-            sketch = update(empty, self._elements, ())
-        self._sketch, self._added, self._removed = sketch, set(), set()
+            sketch = protocol.build(self.params, self._elements)
+        if protocol.update is not None:
+            self._sketch, self._added, self._removed = sketch, set(), set()
         return sketch
 
     def _open_channel(self):

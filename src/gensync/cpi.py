@@ -170,11 +170,6 @@ def reconcile(mine: CpiSketch, theirs: CpiSketch):
     return only_mine, only_theirs
 
 
-def verify_membership(only_mine: set[int], only_theirs: set[int], my_elements: set[int]) -> bool:
-    """Deterministic decode sanity check against the local set."""
-    return only_mine <= my_elements and not (only_theirs & my_elements)
-
-
 def extend_sketch(base: CpiSketch, appended: CpiSketch, new_mbar: int) -> CpiSketch:
     """Graft freshly appended evaluation points onto an existing sketch."""
     return CpiSketch(

@@ -25,7 +25,11 @@ class ProtocolId(enum.Enum):
         try:
             return cls[str(text).strip().upper()]
         except KeyError:
-            raise ConfigError(f"unknown protocol {text!r}; expected CPI, IBLT or CUCKOO") from None
+            raise ConfigError(f"unknown protocol {text!r}; expected {_PROTOCOL_NAMES}") from None
+
+
+# "CPI, IBLT or CUCKOO"
+_PROTOCOL_NAMES = " or ".join(", ".join(p.name for p in ProtocolId).rsplit(", ", 1))
 
 
 class SyncRole(enum.Enum):
@@ -77,7 +81,7 @@ SETTINGS = {
 _TYPES = {
     "int": ((int,), int, "an integer"),
     "float": ((int, float), float, "a number"),
-    "protocol": ((ProtocolId,), ProtocolId.parse, "CPI, IBLT or CUCKOO"),
+    "protocol": ((ProtocolId,), ProtocolId.parse, _PROTOCOL_NAMES),
 }
 
 # an interval's bracket -> how a value compares with that end

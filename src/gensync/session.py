@@ -1,8 +1,11 @@
 """Wire choreography of one sync session.
 
-All three protocols share the same shape: a parameter handshake rides in
-front of the sketch phase, the client decodes (except for cuckoo, where
-both sides query), and the difference phase closes the exchange. Each
+A protocol is an entry of ``PROTOCOLS``: its sketch class, build, cached
+update, decode, whether the client sends its sketch, which side decodes
+and its identifier range. The session runs one of two choreographies,
+chosen by the entry: the client decodes (CPI, IBLT), or both sides query
+the peer's sketch (cuckoo). A parameter handshake rides in front of the
+sketch phase, and the difference phase closes the exchange. Each
 protocol completes in two request/response turns; a CPI bound-doubling
 retry adds one turn.
 
@@ -27,12 +30,13 @@ own peer's computation. The session never changes that sketch. A
 bound-doubling retry computes its extra CPI points from the set.
 
 A cuckoo sync hashes each element once. The filter from ``build_filter``
-keeps every element's fingerprint and first-bucket hash, and the session
+keeps every element's fingerprint and first-bucket hash, and the decode
 hands that filter to ``local_only``, which reuses them against the
 peer's filter of any bucket count. A peer filter whose seed, fingerprint
 width or bucket size is not the agreed one is malformed: the sync ends
 with ABORT ``R_PROTOCOL``, as for an IBLT or CPI sketch of other
-dimensions.
+dimensions. A difference list holding an element outside the
+protocol's identifier range is malformed too.
 
 A session's computation seconds are the CPU seconds of the thread that
 runs it, so sketch encoding and decoding count as computation, while
@@ -47,6 +51,7 @@ from __future__ import annotations
 import struct
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 from . import cpi as cpi_mod
 from . import cuckoo as cuckoo_mod
@@ -59,6 +64,8 @@ from .errors import (
     ProtocolError,
     TransportError,
 )
+from .field import MODULUS
+from .hashing import MASK64
 from .params import ProtocolId, ProtocolParams
 from .transport import ABORT, ACK, DIFFS, HANDSHAKE, SKETCH, WIRE_VERSION, Frame
 
@@ -112,7 +119,7 @@ def _encode_lists(*lists) -> bytes:
     return bytes(out)
 
 
-def _decode_lists(payload: bytes, count: int):
+def _decode_lists(payload: bytes, count: int, modulus: int):
     lists = []
     off = 0
     for _ in range(count):
@@ -123,7 +130,10 @@ def _decode_lists(payload: bytes, count: int):
         end = off + 8 * n
         if end > len(payload):
             raise ProtocolError("truncated difference payload")
-        lists.append(list(struct.unpack_from(f">{n}Q", payload, off)))
+        values = struct.unpack_from(f">{n}Q", payload, off)
+        if values and max(values) >= modulus:
+            raise ProtocolError(f"difference element {max(values)} is not below {modulus}")
+        lists.append(list(values))
         off = end
     if off != len(payload):
         raise ProtocolError("trailing bytes in difference payload")
@@ -165,12 +175,12 @@ def _check_hello(ch, protocol, params) -> None:
         raise _abort(ch, R_HANDSHAKE, "protocol or parameters disagree", "handshake mismatch")
 
 
-def _local(ch, sketch):
-    """Call ``sketch``; a cuckoo filter that overflows aborts the sync."""
-    try:
-        return sketch()
-    except FilterFullError as exc:
-        raise _abort(ch, R_FILTER_FULL, str(exc), f"filter full: {exc}") from None
+_ABORTS = {
+    # a local failure -> (abort code, start of this side's failure reason)
+    FilterFullError: (R_FILTER_FULL, "filter full"),
+    PeelError: (R_DECODE, "peel failed"),
+    BoundExceededError: (R_DECODE, "difference bound exceeded"),
+}
 
 
 def _run(role, ch, protocol: ProtocolId, params: ProtocolParams, elements: set, sketch) -> SessionOutcome:
@@ -182,6 +192,10 @@ def _run(role, ch, protocol: ProtocolId, params: ProtocolParams, elements: set, 
     except ProtocolError as exc:
         _abort(ch, R_PROTOCOL, str(exc))
         reason = str(exc)
+    except tuple(_ABORTS) as exc:
+        code, failure = _ABORTS[type(exc)]
+        _abort(ch, code, str(exc))
+        reason = f"{failure}: {exc}"
     except (_Abort, TransportError) as exc:
         reason = str(exc)
     cpu = time.thread_time() - cpu
@@ -205,46 +219,42 @@ def run_server(ch, protocol: ProtocolId, params: ProtocolParams, elements: set, 
 
 def _client(ch, protocol, params, elements, sketch):
     """Returns (elements learned, count sent to the peer)."""
-    local = _local(ch, sketch)
+    entry = PROTOCOLS[protocol]
+    local = sketch()
     ch.send_frame(Frame(HANDSHAKE, handshake_payload(protocol, params)))
-    if protocol is not ProtocolId.CPI:
+    if entry.client_sends_sketch:
+        # an IBLT server never reads this table; it stays so that the wire,
+        # and the IBLT/CPI byte ratio of acceptance criterion 4, are unchanged
         ch.send_frame(Frame(SKETCH, local.to_bytes()))
     _check_hello(ch, protocol, params)
-    their_payload = _expect(ch, SKETCH).payload
+    theirs = entry.sketch.from_bytes(_expect(ch, SKETCH).payload)
 
-    if protocol is ProtocolId.CUCKOO:
-        mine_only = cuckoo_mod.local_only(local, cuckoo_mod.CuckooFilter.from_bytes(their_payload))
+    if not entry.client_decodes:
+        mine_only = entry.decode(ch, params, elements, local, theirs)
         ch.send_frame(Frame(DIFFS, _encode_lists(mine_only)))
-        (their_only,) = _decode_lists(_expect(ch, DIFFS).payload, 1)
+        (their_only,) = _decode_lists(_expect(ch, DIFFS).payload, 1, entry.modulus)
         return set(their_only), len(mine_only)
 
-    if protocol is ProtocolId.CPI:
-        only_mine, only_theirs = _decode_cpi(ch, params, elements, local, their_payload)
-    else:
-        try:
-            only_mine, only_theirs = local.subtract(iblt_mod.Iblt.from_bytes(their_payload)).peel()
-        except PeelError as exc:
-            raise _abort(ch, R_DECODE, str(exc), f"peel failed: {exc}") from None
+    only_mine, only_theirs = entry.decode(ch, params, elements, local, theirs)
     ch.send_frame(Frame(DIFFS, _encode_lists(only_mine, only_theirs)))
     _expect(ch, ACK)
     return set(only_theirs), len(only_mine)
 
 
-def _decode_cpi(ch, params, elements, mine, their_payload):
+def _decode_cpi(ch, params, elements, mine, theirs):
     """Decode, doubling the bound up to ``cpi_retry_limit`` times."""
-    theirs = cpi_mod.CpiSketch.from_bytes(their_payload)
     mbar = params.cpi_mbar
     ver = params.cpi_verification_points
     retries = 0
     while True:
         try:
             only_mine, only_theirs = cpi_mod.reconcile(mine, theirs)
-            if cpi_mod.verify_membership(only_mine, only_theirs, elements):
+            if only_mine <= elements and not only_theirs & elements:
                 return only_mine, only_theirs
             raise BoundExceededError("decode contradicts local membership")
-        except BoundExceededError as exc:
+        except BoundExceededError:
             if retries >= params.cpi_retry_limit:
-                raise _abort(ch, R_DECODE, str(exc), f"difference bound exceeded: {exc}") from None
+                raise
         retries += 1
         old_len = len(mine.evaluations)
         mbar *= 2
@@ -262,25 +272,37 @@ def _decode_cpi(ch, params, elements, mine, their_payload):
 
 def _server(ch, protocol, params, elements, sketch):
     """Returns (elements learned, count sent to the peer)."""
+    entry = PROTOCOLS[protocol]
     _check_hello(ch, protocol, params)
-    if protocol is not ProtocolId.CPI:
+    if entry.client_sends_sketch:
         client_payload = _expect(ch, SKETCH).payload
-    local = _local(ch, sketch)
+    local = sketch()
     ch.send_frame(Frame(HANDSHAKE, handshake_payload(protocol, params)))
     ch.send_frame(Frame(SKETCH, local.to_bytes()))
 
-    if protocol is ProtocolId.CUCKOO:
-        server_only = cuckoo_mod.local_only(local, cuckoo_mod.CuckooFilter.from_bytes(client_payload))
-        (client_only,) = _decode_lists(_expect(ch, DIFFS).payload, 1)
+    if not entry.client_decodes:
+        server_only = entry.decode(ch, params, elements, local, entry.sketch.from_bytes(client_payload))
+        (client_only,) = _decode_lists(_expect(ch, DIFFS).payload, 1, entry.modulus)
         ch.send_frame(Frame(DIFFS, _encode_lists(server_only)))
         return set(client_only), len(server_only)
 
-    # a CPI client may ask for more evaluation points before it sends DIFFS:
-    # each request doubles the bound, at most ``cpi_retry_limit`` times
-    kinds = (DIFFS, SKETCH) if protocol is ProtocolId.CPI else (DIFFS,)
+    frame = _expect(ch, DIFFS) if entry.serve_retries is None else entry.serve_retries(ch, params, elements)
+    missing_here, confirmed = _decode_lists(frame.payload, 2, entry.modulus)
+    if any(v not in elements for v in confirmed):
+        message = "peer confirmed elements this side does not hold"
+        raise _abort(ch, R_CONFIRM, message, "confirmation list mismatch")
+    ch.send_frame(Frame(ACK))
+    return set(missing_here), len(confirmed)
+
+
+def _serve_cpi_retries(ch, params, elements):
+    """Answer a CPI client's requests for more evaluation points; returns its DIFFS.
+
+    Each request doubles the bound, at most ``cpi_retry_limit`` times.
+    """
     ver = params.cpi_verification_points
     bound, served = params.cpi_mbar, 0
-    frame = _expect(ch, *kinds)
+    frame = _expect(ch, DIFFS, SKETCH)
     while frame.kind == SKETCH:
         request = cpi_mod.CpiSketch.from_bytes(frame.payload)
         if request.mbar != 2 * bound or served >= params.cpi_retry_limit:
@@ -288,10 +310,69 @@ def _server(ch, protocol, params, elements, sketch):
         appended = cpi_mod.make_sketch(elements, request.mbar, ver, start=bound + ver)
         ch.send_frame(Frame(SKETCH, appended.to_bytes()))
         bound, served = request.mbar, served + 1
-        frame = _expect(ch, *kinds)
-    missing_here, confirmed = _decode_lists(frame.payload, 2)
-    if any(v not in elements for v in confirmed):
-        message = "peer confirmed elements this side does not hold"
-        raise _abort(ch, R_CONFIRM, message, "confirmation list mismatch")
-    ch.send_frame(Frame(ACK))
-    return set(missing_here), len(confirmed)
+        frame = _expect(ch, DIFFS, SKETCH)
+    return frame
+
+
+# ---------------------------------------------------------------------------
+# protocols
+
+
+@dataclass(frozen=True)
+class Protocol:
+    """What GenSync and the session know of one protocol.
+
+    Entries look sketch functions up in their module, and ``from_bytes``
+    in the class, when they run, so a wrapper put on one of those names
+    later is the one called.
+    """
+
+    sketch: type  # its from_bytes reads the peer's sketch
+    build: Callable  # (params, elements) -> the sketch of elements
+    update: Callable | None  # (sketch, added, removed) -> sketch, or None to rebuild; None: nothing is cached
+    # (ch, params, elements, mine, theirs) -> (only mine, only theirs) at a
+    # client that decodes, or only mine where both sides query
+    decode: Callable
+    client_sends_sketch: bool
+    client_decodes: bool  # else both sides query the peer's sketch
+    modulus: int  # identifiers lie in [0, modulus)
+    serve_retries: Callable | None = None  # (ch, params, elements) -> the client's DIFFS
+
+
+PROTOCOLS = {
+    ProtocolId.CPI: Protocol(
+        cpi_mod.CpiSketch,
+        lambda p, elements: cpi_mod.make_sketch(elements, p.cpi_mbar, p.cpi_verification_points),
+        lambda sketch, added, removed: cpi_mod.update_sketch(sketch, added, removed),
+        _decode_cpi,
+        client_sends_sketch=False,
+        client_decodes=True,
+        modulus=MODULUS,  # GF(2^61 - 1); GenSync reduces larger identifiers when they are added
+        serve_retries=_serve_cpi_retries,
+    ),
+    ProtocolId.IBLT: Protocol(
+        iblt_mod.Iblt,
+        lambda p, elements: iblt_mod.build_table(
+            elements,
+            iblt_mod.cell_count(p.iblt_expected_diffs, p.iblt_hedge, p.iblt_num_hashes),
+            p.iblt_num_hashes,
+            p.rng_seed,
+        ),
+        lambda sketch, added, removed: iblt_mod.update_table(sketch, added, removed),
+        lambda ch, p, elements, mine, theirs: mine.subtract(theirs).peel(),
+        client_sends_sketch=True,
+        client_decodes=True,
+        modulus=MASK64 + 1,
+    ),
+    ProtocolId.CUCKOO: Protocol(
+        cuckoo_mod.CuckooFilter,
+        lambda p, elements: cuckoo_mod.build_filter(
+            elements, p.rng_seed, p.cuckoo_bucket_size, p.cuckoo_fingerprint_bits, p.cuckoo_max_kicks
+        ),
+        None,
+        lambda ch, p, elements, mine, theirs: cuckoo_mod.local_only(mine, theirs),
+        client_sends_sketch=True,
+        client_decodes=False,
+        modulus=MASK64 + 1,
+    ),
+}

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import threading
 import time
@@ -22,8 +23,8 @@ from gensync.cpi import CpiSketch, make_sketch, sample_point
 from gensync.cuckoo import CuckooFilter, build_filter
 from gensync.field import MODULUS
 from gensync.iblt import Iblt, build_table, cell_count
-from gensync.session import R_PROTOCOL, R_VERSION, handshake_payload, run_client, run_server
-from gensync.transport import ABORT, DIFFS, HANDSHAKE, SKETCH, Frame
+from gensync.session import R_PROTOCOL, R_VERSION, _encode_lists, handshake_payload, run_client, run_server
+from gensync.transport import ABORT, DIFFS, HANDSHAKE, SKETCH, Frame, MemoryEndpoint
 
 
 def build_pair(protocol, params=None, channel_params=None, server_params=None):
@@ -480,6 +481,27 @@ def test_cpi_server_refuses_a_retry_it_did_not_offer():
     assert result == {"ok": False}
 
 
+def test_cpi_server_refuses_an_element_outside_the_field():
+    # CPI identifiers lie below MODULUS; a peer's larger one would be held
+    # unreduced, where remove_element, which reduces its argument, cannot
+    # reach it
+    params = ProtocolParams()
+    client_end, server_end = memory_channel_pair(timeout=5)
+    server = Builder().set("protocol", "CPI").set("communicant", server_end).build()
+    fill(server, range(1, 51))
+    t, result = start(server)
+    client_end.send_frame(Frame(HANDSHAKE, handshake_payload(ProtocolId.CPI, params)))
+    assert [client_end.recv_frame().kind for _ in range(2)] == [HANDSHAKE, SKETCH]
+    began = time.perf_counter()
+    client_end.send_frame(Frame(DIFFS, _encode_lists([MODULUS + 5], [])))
+    reply = client_end.recv_frame()
+    assert time.perf_counter() - began < 1
+    assert (reply.kind, reply.payload[:1]) == (ABORT, bytes([R_PROTOCOL]))
+    t.join(timeout=5)
+    assert result == {"ok": False}
+    assert max(server.elements) < MODULUS
+
+
 # -- observations ----------------------------------------------------------
 
 
@@ -860,7 +882,7 @@ def test_removing_a_sample_point_rebuilds_the_sketch(monkeypatch):
     sketch = next_sketch(client)
     # the update of one add and one remove fails on the zero factor, and
     # the rebuild evaluates every element
-    assert sizes == [1, 1, len(client), 0]
+    assert sizes == [1, 1, len(client)]
     assert sketch.to_bytes() == fresh_sketch(client).to_bytes()
 
 
@@ -930,3 +952,57 @@ def test_session_leaves_the_handed_sketch_unchanged(protocol):
     assert not t.is_alive()
     assert client.success and outcomes["server"].success
     assert [sk.to_bytes() for sk in sketches] == before
+
+
+# -- whole transcripts ------------------------------------------------------------
+
+TRANSCRIPTS = {
+    # name -> (protocol, params, sha256 of the frames of two syncs, each direction apart)
+    "cpi": (
+        ProtocolId.CPI,
+        ProtocolParams(cpi_mbar=24),
+        "0769d07490f48c9fbba2919cfe162860e04d0f33dff97c9dde5c0cc73fdf930c",
+    ),
+    "cpi-retry": (
+        ProtocolId.CPI,
+        ProtocolParams(cpi_mbar=8, cpi_retry_limit=1),
+        "956c2b255cb3e1fec1679bb0085b516c84de27744c6030b672ceaef966fc5eb3",
+    ),
+    "iblt": (
+        ProtocolId.IBLT,
+        ProtocolParams(iblt_expected_diffs=24),
+        "2e3ae099efb73e343f094d769c6976fd2c003a6fd1bed28fbbfda58ecf7178ed",
+    ),
+    "cuckoo": (
+        ProtocolId.CUCKOO,
+        ProtocolParams(cuckoo_fingerprint_bits=16),
+        "c565407c776c177c1f21e3b8e5a526bfa4e9b6af172ca6dbd24c0611995a0f14",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRANSCRIPTS))
+def test_sync_transcripts_are_pinned(name, monkeypatch):
+    # a first sync that builds each sketch, then one that updates the
+    # cached sketch after adds and removes; at cpi-retry the first sync
+    # doubles the bound once
+    protocol, params, digest = TRANSCRIPTS[name]
+    frames = {True: [], False: []}
+    send = MemoryEndpoint.send_frame
+
+    def recorded(endpoint, frame):
+        frames[endpoint.is_client].append((frame.kind, frame.payload))
+        return send(endpoint, frame)
+
+    monkeypatch.setattr(MemoryEndpoint, "send_frame", recorded)
+    a, b = seeded_sets(81, 300, 6, 6)
+    client, server = build_pair(protocol, params)
+    fill(client, a)
+    fill(server, b)
+    assert run_sync(client, server) == (True, True)
+    fill(client, range(1, 4))
+    client.remove_element(min(a & b))
+    server.add_element(2**63)
+    assert run_sync(client, server) == (True, True)
+    recording = repr((frames[True], frames[False])).encode()
+    assert hashlib.sha256(recording).hexdigest() == digest

@@ -3,7 +3,8 @@
 A short ``churn`` run holds two rounds of syncs on long-lived pairs, so
 both a first sync and a later one that updates a cached sketch are
 traced. The traced run divides by counts of wrapped calls per sync, so
-a library change that skips a wrapped function can crash it.
+a library change that skips a wrapped function can crash it, and one
+that calls a function around its wrapper makes its metric read 0.
 """
 
 import json
@@ -29,3 +30,9 @@ def test_traced_churn_run_reports_every_metric():
     assert result["attempted"] >= 6  # two rounds of three protocols
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     assert {m["name"] for m in declared} <= set(result["metrics"])
+    # a 0 here means a call went around its wrapper; the one metric left
+    # out, hashing.keyed_hash_per_element.cuckoo, reads 0 on a working
+    # build, since cuckoo calls no scalar keyed_hash
+    seen = [m["name"] for m in declared if m["name"].endswith("_s")]
+    seen += ["field.poly_powmod_calls", "iblt.cells", "cuckoo.load"]
+    assert [name for name in seen if not result["metrics"][name]["value"] > 0] == []
