@@ -227,8 +227,8 @@ def run_benchmark(cfg: BenchConfig):
     """Execute ``repeat`` seeded syncs over the in-memory channel.
 
     Returns (observations, stats). Each run's Observation merges the two
-    roles: byte and communication figures are identical on both sides by
-    the ledger-symmetry invariant, and computation_time sums the two
+    roles: byte and communication figures are identical on both sides,
+    whose sessions count the same frames, and computation_time sums the two
     CPU-scaled compute times. Failures are recorded per run and never
     abort the batch.
     """

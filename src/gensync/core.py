@@ -202,7 +202,6 @@ class GenSync:
 
     def _open_channel(self):
         if self._endpoint is not None:
-            self._endpoint.reset_for_sync()
             return self._endpoint, False
         if self.role is SyncRole.SERVER:
             return self._listener.accept(), True
@@ -212,9 +211,7 @@ class GenSync:
     def _make_observation(self, endpoint, outcome, size_before) -> Observation:
         link = endpoint.params
         if link is not None:
-            up = endpoint.ledger.sent if endpoint.is_client else endpoint.ledger.received
-            down = endpoint.ledger.received if endpoint.is_client else endpoint.ledger.sent
-            comm = session_time(link, up, down, endpoint.turns)
+            comm = session_time(link, outcome.bytes_up, outcome.bytes_down, outcome.turns)
             comp = scale_compute(link, self.role, outcome.compute_seconds)
         else:
             # a real link: whatever is not this thread's CPU time, which
@@ -223,7 +220,7 @@ class GenSync:
             comp = outcome.compute_seconds
         return Observation(
             success=outcome.success,
-            bytes_transmitted=endpoint.ledger.total,
+            bytes_transmitted=outcome.bytes_up + outcome.bytes_down,
             communication_time=comm,
             computation_time=comp,
             protocol=self.protocol,

@@ -38,6 +38,11 @@ with ABORT ``R_PROTOCOL``, as for an IBLT or CPI sketch of other
 dimensions. A difference list holding an element outside the
 protocol's identifier range is malformed too.
 
+The session counts the framed bytes of its sync each way and its
+request/response turns, over any channel. A turn starts at each
+client-to-server frame that follows a server-to-client frame or opens
+the sync, so both peers count the same turns whichever starts first.
+
 A session's computation seconds are the CPU seconds of the thread that
 runs it, so sketch encoding and decoding count as computation, while
 waiting for the peer, sleeping and the time another thread of the
@@ -87,6 +92,9 @@ class SessionOutcome:
     sent_missing: int
     compute_seconds: float  # CPU seconds of the session's thread
     wall_seconds: float
+    bytes_up: int  # framed bytes client -> server
+    bytes_down: int  # framed bytes server -> client
+    turns: int
     failure_reason: str | None = None
 
     @property
@@ -140,6 +148,38 @@ def _decode_lists(payload: bytes, count: int, modulus: int):
     return lists
 
 
+class WireCounter:
+    """A channel that counts the frames the session sends and receives on it.
+
+    The endpoint's methods are looked up at each call, so a wrapper put on
+    them later still sees every frame.
+    """
+
+    def __init__(self, ch):
+        self._ch = ch
+        self.is_client = ch.is_client
+        self.bytes_up = self.bytes_down = self.turns = 0
+        self._up_last = False  # the last frame went client -> server
+
+    def _count(self, frame: Frame, up: bool) -> None:
+        if up:
+            if not self._up_last:
+                self.turns += 1
+            self.bytes_up += frame.wire_size
+        else:
+            self.bytes_down += frame.wire_size
+        self._up_last = up
+
+    def send_frame(self, frame: Frame) -> None:
+        self._ch.send_frame(frame)
+        self._count(frame, self.is_client)
+
+    def recv_frame(self) -> Frame:
+        frame = self._ch.recv_frame()
+        self._count(frame, not self.is_client)
+        return frame
+
+
 class _Abort(GenSyncError):
     """Ends a session once either side has sent ABORT."""
 
@@ -184,6 +224,7 @@ _ABORTS = {
 
 
 def _run(role, ch, protocol: ProtocolId, params: ProtocolParams, elements: set, sketch) -> SessionOutcome:
+    ch = WireCounter(ch)
     # the wall interval encloses the CPU interval, so CPU <= wall
     wall, cpu = time.perf_counter(), time.thread_time()
     to_add, sent_missing, reason = set(), 0, None
@@ -200,7 +241,9 @@ def _run(role, ch, protocol: ProtocolId, params: ProtocolParams, elements: set, 
         reason = str(exc)
     cpu = time.thread_time() - cpu
     wall = time.perf_counter() - wall
-    return SessionOutcome(reason is None, to_add, sent_missing, cpu, wall, reason)
+    return SessionOutcome(
+        reason is None, to_add, sent_missing, cpu, wall, ch.bytes_up, ch.bytes_down, ch.turns, reason
+    )
 
 
 def run_client(ch, protocol: ProtocolId, params: ProtocolParams, elements: set, sketch) -> SessionOutcome:

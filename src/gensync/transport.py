@@ -1,9 +1,8 @@
 """Framed channels and the analytic network-cost model.
 
 Every message is a frame: a 1-byte kind tag, a big-endian 32-bit payload
-length, then the payload. Both endpoints keep a byte ledger counting
-``5 + length`` per frame sent or received, which feeds the byte accounting
-of Observations.
+length, then the payload. Endpoints only move frames; the session counts
+them.
 
 Two channel families exist: a deterministic in-memory pair for
 benchmarking (communication time comes from the cost model below) and a
@@ -11,9 +10,8 @@ blocking TCP endpoint for real two-machine syncs (communication time is
 the session's wall time minus its CPU time). Neither keeps a clock.
 Emulated link behaviour is fully analytic rather than OS-enforced:
 transfer seconds follow ``latency + bytes*8 / (bandwidth * (1 -
-packet_loss))`` with latency charged once per request/response turn,
-which each in-memory endpoint counts from its own frames, and compute
-seconds are scaled by the per-role CPU fraction. This keeps runs
+packet_loss))`` with latency charged once per request/response turn, and
+compute seconds are scaled by the per-role CPU fraction. This keeps runs
 portable and bit-reproducible.
 """
 
@@ -43,6 +41,9 @@ WIRE_VERSION = 2
 
 # seconds an endpoint waits for its peer to connect or to send a frame
 PEER_TIMEOUT = 60.0
+
+# the most bytes a TCP endpoint asks one recv call for
+RECV_CHUNK = 1 << 20
 
 UP = "up"  # client -> server
 DOWN = "down"  # server -> client
@@ -130,55 +131,20 @@ def scale_compute(params: ChannelParams, role: SyncRole, measured_seconds: float
 # in-memory channel
 
 
-@dataclass
-class ByteLedger:
-    sent: int = 0
-    received: int = 0
-
-    @property
-    def total(self) -> int:
-        return self.sent + self.received
-
-    def reset(self):
-        self.sent = 0
-        self.received = 0
-
-
 class MemoryEndpoint:
-    """One side of an in-process channel pair with per-direction FIFO.
+    """One side of an in-process channel pair with per-direction FIFO."""
 
-    Each endpoint counts the turns of its own sync from the frames it
-    sends and receives: a turn starts at each client-to-server frame that
-    follows a server-to-client frame or opens the sync. Both ends see
-    every frame of the sync in the order the protocol imposes, so both
-    count the same turns whichever starts first.
-    """
-
-    def __init__(self, outbox, inbox, direction, params, timeout):
+    def __init__(self, outbox, inbox, is_client, params, timeout):
         self._outbox = outbox
         self._inbox = inbox
-        self.direction = direction  # direction of frames this endpoint sends
+        self.is_client = is_client
         self.params = params
         self.timeout = timeout
-        self.ledger = ByteLedger()
-        self.turns = 0
-        self._last = None  # direction of the last frame sent or received
         self._closed = False
-
-    @property
-    def is_client(self) -> bool:
-        return self.direction == UP
-
-    def _count(self, direction: str):
-        if direction == UP and self._last != UP:
-            self.turns += 1
-        self._last = direction
 
     def send_frame(self, frame: Frame):
         if self._closed:
             raise TransportError("channel is closed")
-        self._count(self.direction)
-        self.ledger.sent += frame.wire_size
         self._outbox.put(frame)
 
     def recv_frame(self) -> Frame:
@@ -190,8 +156,6 @@ class MemoryEndpoint:
             raise TransportError("timed out waiting for the peer") from None
         if frame is None:
             raise TransportError("peer closed the channel")
-        self._count(DOWN if self.is_client else UP)
-        self.ledger.received += frame.wire_size
         return frame
 
     def close(self):
@@ -199,19 +163,14 @@ class MemoryEndpoint:
             self._closed = True
             self._outbox.put(None)
 
-    def reset_for_sync(self):
-        self.ledger.reset()
-        self.turns = 0
-        self._last = None
-
 
 def memory_channel_pair(params: ChannelParams | None = None, timeout: float = PEER_TIMEOUT):
     """A connected (client_endpoint, server_endpoint) pair in one process."""
     params = params or ChannelParams()
     up_q: queue.Queue = queue.Queue()
     down_q: queue.Queue = queue.Queue()
-    client = MemoryEndpoint(up_q, down_q, UP, params, timeout)
-    server = MemoryEndpoint(down_q, up_q, DOWN, params, timeout)
+    client = MemoryEndpoint(up_q, down_q, True, params, timeout)
+    server = MemoryEndpoint(down_q, up_q, False, params, timeout)
     return client, server
 
 
@@ -226,7 +185,6 @@ class TcpEndpoint:
         self._sock = sock
         self.is_client = is_client
         self.params = None  # real link; no emulation
-        self.ledger = ByteLedger()
 
     def send_frame(self, frame: Frame):
         data = frame.encode()
@@ -234,14 +192,14 @@ class TcpEndpoint:
             self._sock.sendall(data)
         except OSError as exc:
             raise TransportError(f"send failed: {exc}") from exc
-        self.ledger.sent += len(data)
 
     def _recv_exact(self, n: int) -> bytes:
+        # recv allocates what it is asked for, and n comes from the peer
         chunks = []
         got = 0
         while got < n:
             try:
-                chunk = self._sock.recv(n - got)
+                chunk = self._sock.recv(min(n - got, RECV_CHUNK))
             except OSError as exc:
                 raise TransportError(f"recv failed: {exc}") from exc
             if not chunk:
@@ -252,9 +210,7 @@ class TcpEndpoint:
 
     def recv_frame(self) -> Frame:
         kind, length = decode_header(self._recv_exact(FRAME_OVERHEAD))
-        payload = self._recv_exact(length) if length else b""
-        self.ledger.received += FRAME_OVERHEAD + length
-        return Frame(kind, payload)
+        return Frame(kind, self._recv_exact(length) if length else b"")
 
     def close(self):
         try:

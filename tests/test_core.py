@@ -23,8 +23,16 @@ from gensync.cpi import CpiSketch, make_sketch, sample_point
 from gensync.cuckoo import CuckooFilter, build_filter
 from gensync.field import MODULUS
 from gensync.iblt import Iblt, build_table, cell_count
-from gensync.session import R_PROTOCOL, R_VERSION, _encode_lists, handshake_payload, run_client, run_server
-from gensync.transport import ABORT, DIFFS, HANDSHAKE, SKETCH, Frame, MemoryEndpoint
+from gensync.session import (
+    PROTOCOLS,
+    R_PROTOCOL,
+    R_VERSION,
+    _encode_lists,
+    handshake_payload,
+    run_client,
+    run_server,
+)
+from gensync.transport import ABORT, DIFFS, HANDSHAKE, SKETCH, Frame, MemoryEndpoint, TcpListener, tcp_connect
 
 
 def build_pair(protocol, params=None, channel_params=None, server_params=None):
@@ -624,10 +632,62 @@ def test_cpi_retries_count_one_turn_each_on_both_sides():
     fill(server, b)
     assert run_sync(client, server) == (True, True)
     # the sketch exchange, two bound doublings (4 -> 8 -> 16), the differences
-    assert client_end.turns == server_end.turns == 4
     comm = client.get_observation().communication_time
     assert server.get_observation().communication_time == comm
     assert comm == pytest.approx(0.4, abs=0.005)
+
+
+def run_sessions(client_end, server_end, protocol, params, sets):
+    """One sync's client and server sessions on a connected pair of endpoints."""
+    build = PROTOCOLS[protocol].build
+    outcomes = {}
+
+    def serve():
+        outcomes["server"] = run_server(server_end, protocol, params, sets[1], lambda: build(params, sets[1]))
+
+    t = threading.Thread(target=serve)
+    t.start()
+    client = run_client(client_end, protocol, params, sets[0], lambda: build(params, sets[0]))
+    t.join(timeout=10)
+    assert not t.is_alive()
+    return client, outcomes["server"]
+
+
+WIRE_CASES = {
+    # name -> (protocol, params, turns of a sync over 12 differences)
+    "iblt": (ProtocolId.IBLT, ProtocolParams(iblt_expected_diffs=12), 2),
+    "cuckoo": (ProtocolId.CUCKOO, ProtocolParams(), 2),
+    "cpi-retry": (ProtocolId.CPI, ProtocolParams(cpi_mbar=4, cpi_retry_limit=3), 4),  # bound 4 -> 8 -> 16
+}
+
+
+@pytest.mark.parametrize("name", sorted(WIRE_CASES))
+def test_tcp_and_memory_count_the_same_wire(name):
+    protocol, params, turns = WIRE_CASES[name]
+    sets = [{x % PROTOCOLS[protocol].modulus for x in s} for s in seeded_sets(6, 100, 6, 6)]
+    listener = TcpListener("127.0.0.1", 0)
+    try:
+        tcp_client = tcp_connect("127.0.0.1", listener.port)
+        tcp_server = listener.accept()
+        try:
+            over_tcp = run_sessions(tcp_client, tcp_server, protocol, params, sets)
+        finally:
+            tcp_client.close()
+            tcp_server.close()
+    finally:
+        listener.close()
+    memory = memory_channel_pair(timeout=5)
+    in_memory = run_sessions(*memory, protocol, params, sets)
+    # a second sync on the same pair reports only its own frames
+    again = run_sessions(*memory, protocol, params, sets)
+
+    counts = set()
+    for outcome in over_tcp + in_memory + again:
+        assert outcome.success
+        counts.add((outcome.bytes_up, outcome.bytes_down, outcome.turns))
+    ((up, down, counted_turns),) = counts
+    assert counted_turns == turns
+    assert up > 0 and down > 0
 
 
 def test_late_server_still_counts_two_turns():

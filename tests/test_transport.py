@@ -9,14 +9,17 @@ from hypothesis import strategies as st
 
 from gensync.errors import TransportError
 from gensync.params import SyncRole
+from gensync.session import WireCounter
 from gensync.transport import (
     ACK,
     DIFFS,
     DOWN,
+    FRAME_HEADER,
     HANDSHAKE,
     UP,
     ChannelParams,
     Frame,
+    TcpEndpoint,
     TcpListener,
     memory_channel_pair,
     scale_compute,
@@ -33,8 +36,7 @@ def test_frame_round_trip_and_ledger_arithmetic():
     got = server.recv_frame()
     assert got.kind == DIFFS
     assert got.payload == payload
-    assert client.ledger.sent == 105
-    assert server.ledger.received == 105
+    assert got.wire_size == len(got.encode()) == 105
 
 
 def test_recv_on_closed_channel_raises():
@@ -70,7 +72,7 @@ def test_bidirectional_fifo_order_preserved():
 
 
 def test_turn_counting_once_per_request_response():
-    client, server = memory_channel_pair()
+    client, server = (WireCounter(end) for end in memory_channel_pair())
     client.send_frame(Frame(HANDSHAKE))
     server.recv_frame()
     server.send_frame(Frame(HANDSHAKE))
@@ -156,38 +158,68 @@ def test_channel_params_refuse_values_that_are_not_finite(name, value):
         ChannelParams(**{name: value})
 
 
+def wire(counter):
+    return counter.bytes_up, counter.bytes_down, counter.turns
+
+
 def test_tcp_frames_and_ledger_match_memory_channel():
     listener = TcpListener("127.0.0.1", 0)
     frames = [Frame(HANDSHAKE, b"hello"), Frame(DIFFS, bytes(1000)), Frame(ACK)]
     received = []
+    counters = {}
 
     def serve():
         ep = listener.accept()
+        counter = counters["server"] = WireCounter(ep)
         for _ in frames:
-            received.append(ep.recv_frame())
-        ep.send_frame(Frame(ACK, b"done"))
+            received.append(counter.recv_frame())
+        counter.send_frame(Frame(ACK, b"done"))
         ep.close()
 
     t = threading.Thread(target=serve)
     t.start()
-    client = tcp_connect("127.0.0.1", listener.port)
+    client_end = tcp_connect("127.0.0.1", listener.port)
+    client = WireCounter(client_end)
     for f in frames:
         client.send_frame(f)
     reply = client.recv_frame()
     t.join()
     listener.close()
-    client.close()
+    client_end.close()
 
     assert [(f.kind, f.payload) for f in received] == [(f.kind, f.payload) for f in frames]
     assert reply.payload == b"done"
-    expected = sum(f.wire_size for f in frames) + reply.wire_size
-    assert client.ledger.total == expected
+    assert wire(client) == wire(counters["server"]) == (sum(f.wire_size for f in frames), reply.wire_size, 1)
 
-    mem_client, mem_server = memory_channel_pair()
+    mem_client, mem_server = (WireCounter(end) for end in memory_channel_pair())
     for f in frames:
         mem_client.send_frame(f)
         mem_server.recv_frame()
     mem_server.send_frame(Frame(ACK, b"done"))
     mem_client.recv_frame()
-    assert mem_client.ledger.total == client.ledger.total
-    assert mem_server.ledger.total == mem_client.ledger.total
+    assert wire(mem_client) == wire(mem_server) == wire(client)
+
+
+class FakeSocket:
+    """Hands out ``data`` to ``recv`` calls, then reports a closed peer."""
+
+    def __init__(self, data: bytes):
+        self._data = memoryview(data)
+        self.asked = []
+
+    def recv(self, n: int) -> bytes:
+        self.asked.append(n)
+        chunk, self._data = self._data[:n], self._data[n:]
+        return bytes(chunk)
+
+
+def test_tcp_recv_asks_for_what_may_arrive_not_what_the_header_announces():
+    # recv allocates the bytes it is asked for before any arrive, so one
+    # header announcing 4 GiB made this side ask for 4 GiB
+    payload = bytes(range(256)) * 10_000  # 2.56 MB: several reads
+    sock = FakeSocket(Frame(DIFFS, payload).encode() + FRAME_HEADER.pack(DIFFS, 0xFFFFFFFF) + bytes(1000))
+    endpoint = TcpEndpoint(sock, is_client=True)
+    assert endpoint.recv_frame().payload == payload
+    with pytest.raises(TransportError, match="peer closed"):
+        endpoint.recv_frame()
+    assert max(sock.asked) <= 1 << 20
